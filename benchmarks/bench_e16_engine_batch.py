@@ -6,8 +6,9 @@ engine subsystem.  Two claims are demonstrated and *asserted*:
 1. the vectorized overlap/union/depth kernels beat the scalar reference
    sweeps by >= 5x on 10k-job instances (while returning identical
    results — equality is cross-checked inside ``kernel_speedups``), and
-2. ``solve_many`` over a 1k-instance batch is deterministic, equal to
-   per-instance ``solve``, and effectively free on cache re-runs.
+2. ``Session.solve_many`` over a 1k-instance batch is deterministic,
+   equal to per-instance ``solve``, and effectively free on cache
+   re-runs.
 
 Density is held constant as n grows (the horizon scales with n), which
 is the regime a production scheduler sees; a fixed horizon would make
@@ -21,7 +22,7 @@ import os
 import pytest
 
 from repro.analysis.stats import Table, geometric_mean
-from repro.engine import clear_cache, solve, solve_many
+from repro.api import Session
 from repro.engine.bench import batch_timing, bench_instance, kernel_speedups
 
 from .conftest import report_table
@@ -81,7 +82,6 @@ def test_e16_kernel_speedups(benchmark):
 
 @pytest.mark.benchmark(group="e16")
 def test_e16_batch_1k_instances(benchmark):
-    clear_cache()
     timing = benchmark.pedantic(
         lambda: batch_timing(BATCH_INSTANCES, BATCH_JOBS, seed=0),
         rounds=1,
@@ -119,10 +119,9 @@ def test_e16_batch_equals_sequential(benchmark):
     instances = [bench_instance(20, seed=s) for s in range(50)]
 
     def run():
-        clear_cache()
-        batch = solve_many(instances)
-        clear_cache()
-        seq = [solve(inst) for inst in instances]
+        batch = Session(store_path=None).solve_many(instances)
+        session = Session(store_path=None)
+        seq = [session.solve(inst) for inst in instances]
         return batch, seq
 
     batch, seq = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -15,11 +15,12 @@ The package implements interval scheduling with bounded parallelism
   combination for cliques, exact prefix search for one-sided).
 * **2-D rectangles, trees, rings, variable demands** — the Section 3.4
   generalization and the Section 5 extensions.
-* **Batch solver engine** (:mod:`repro.engine`) — the serving layer:
-  a unified ``solve(instance, objective=...)`` front door routing to
-  the strongest applicable algorithm for either objective, a SHA-256
+* **Batch solver engine** (:mod:`repro.engine`, driven through
+  :class:`repro.api.Session`) — the serving layer: a unified
+  ``Session.solve(instance, objective=...)`` front door routing to
+  the strongest applicable algorithm for every objective, a SHA-256
   fingerprint-keyed LRU result cache, and a
-  ``solve_many(instances, workers=N)`` batch API (chunked
+  ``Session.solve_many(instances, workers=N)`` batch API (chunked
   multiprocessing, deterministic input-order results).  Underneath it,
   :mod:`repro.core.vectorized` provides batched NumPy event-array
   kernels (pairwise overlaps, union length, point-clique depth,
@@ -47,9 +48,6 @@ are interchangeable, see :mod:`repro.api`)::
 
     fleet = ShardedClient([RemoteSession(h) for h in hosts])
     batch = fleet.solve_many(instances)              # same bytes out
-
-(``repro.engine.solve``/``solve_many`` remain as thin shims over a
-process-default session.)
 
 Batch CLI (``pip install -e .`` provides the ``repro`` entry point)::
 
@@ -100,7 +98,7 @@ from .maxthroughput import (
 from .rect import Rect, RectSchedule, bucket_first_fit, first_fit_2d, union_area
 from .io import load_instance, save_instance
 from .analysis.gantt import render_gantt
-from .engine import EngineResult, solve, solve_many
+from .engine import EngineResult
 from .api import (
     EngineConfig,
     RemoteSession,
@@ -155,8 +153,6 @@ __all__ = [
     "save_instance",
     "render_gantt",
     "EngineResult",
-    "solve",
-    "solve_many",
     "EngineConfig",
     "Session",
     "RemoteSession",

@@ -18,11 +18,8 @@ implementations, so local and remote solving are interchangeable:
   parse from :data:`SHARDS_ENV_VAR` (``REPRO_SHARDS``) or CLI
   ``--shard`` flags into :class:`ShardSpec`\\ s.
 
-The legacy module-global entry points (``repro.engine.solve`` and
-friends) are thin, thread-safe shims over a lazily-created
-process-default session (:func:`repro.engine.default_session`);
-``configure_cache``/``configure_store`` additionally raise
-:class:`~repro.core.errors.ReproDeprecationWarning`.
+A session is the only way into the engine: there is no module-global
+solve entry point, so every caller says which cache stack it uses.
 
 Quickstart::
 
@@ -62,7 +59,6 @@ from .protocol import SolverClient
 from .remote import RemoteSession, result_from_doc
 from .session import Session
 from .sharded import ShardedClient
-from ..engine.engine import default_session
 
 __all__ = [
     "FOLLOW_ENV",
@@ -75,7 +71,6 @@ __all__ = [
     "Session",
     "RemoteSession",
     "ShardedClient",
-    "default_session",
     "parse_bool_env",
     "parse_shard_entry",
     "parse_shards",

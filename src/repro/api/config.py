@@ -1,13 +1,13 @@
 """Per-session engine configuration.
 
-An :class:`EngineConfig` is everything that used to live in module
-globals spread over ``repro.engine.engine`` — the LRU bound, the
-persistent-store binding, the executor backend and its worker count,
-the default per-request deadline and default objective — collected
-into one immutable value that a :class:`repro.api.Session` owns.  Two
+An :class:`EngineConfig` is the engine's whole configuration — the
+LRU bound, the persistent-store binding, the executor backend and its
+worker count, the default per-request deadline and default objective —
+collected into one immutable value that a :class:`repro.api.Session` owns.  Two
 sessions in one process can therefore run disjoint cache stacks and
-different backends; the process-default session (what the legacy
-module-global ``repro.engine.solve`` delegates to) is just
+different backends.  :meth:`EngineConfig.from_env` is the
+configuration the process environment asks for; a bare
+:class:`~repro.service.server.SolveServer` serves from
 ``Session(EngineConfig.from_env())``.
 
 The store binding has three states:
@@ -301,8 +301,7 @@ class EngineConfig:
         Reads ``REPRO_BACKEND``, ``REPRO_WORKERS``, ``REPRO_DEADLINE``,
         ``REPRO_CACHE_SIZE`` and ``REPRO_SHARDS`` when present; the
         store binding stays :data:`FOLLOW_ENV` so later
-        ``REPRO_CACHE_DIR`` changes keep taking effect (the historical
-        module-global behaviour).
+        ``REPRO_CACHE_DIR`` changes keep taking effect.
         """
         env = os.environ if environ is None else environ
 

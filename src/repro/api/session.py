@@ -1,8 +1,8 @@
 """The local solver client: one session = one engine configuration.
 
-A :class:`Session` owns everything that used to be module-global
-engine state — its *own* result LRU, its *own* persistent-store
-binding, its *own* executor defaults — captured in an immutable
+A :class:`Session` owns all engine state — its *own* result LRU, its
+*own* persistent-store binding, its *own* executor defaults — captured
+in an immutable
 :class:`~repro.api.config.EngineConfig`.  Two sessions in one process
 therefore have disjoint cache stacks: what one session solves and
 memoizes is invisible to the other (the isolation suite in
@@ -20,8 +20,7 @@ and exposes the :class:`~repro.api.protocol.SolverClient` surface —
 
 All store-binding mutation happens under one re-entrant lock, so
 concurrent threads (or the async backend's worker threads) can never
-race a half-rebound store into the tier stack — this used to be a real
-race in the module-global engine.
+race a half-rebound store into the tier stack.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from ..engine.tiers import LRUTier, StoreTier, TieredCache
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .config import (
-    FOLLOW_ENV,
     STORE_ENV_VAR,
     EngineConfig,
     _FollowEnv,
@@ -159,8 +157,8 @@ class Session:
 
         The tier holds an in-memory similarity index, so unlike the
         adapter tiers it is *cached* — keyed by store identity, and
-        rebuilt whenever the store binding changes (env re-resolution,
-        ``configure_store``, ``reset_store_binding``).
+        rebuilt whenever the store binding changes (``REPRO_CACHE_DIR``
+        re-resolution under :data:`~repro.api.FOLLOW_ENV`).
         """
         if not self.config.repair or store is None:
             return None
@@ -525,7 +523,7 @@ class Session:
         )
 
     # ------------------------------------------------------------------
-    # cache/store management (what the engine's module shims delegate to)
+    # cache/store management
     # ------------------------------------------------------------------
     def cache_info(self) -> CacheInfo:
         """Hit/miss/size counters of this session's result LRU."""
@@ -534,35 +532,6 @@ class Session:
     def clear_cache(self) -> None:
         """Drop cached results and reset counters (LRU tier only)."""
         self._lru.clear()
-
-    def configure_cache(self, maxsize: int) -> None:
-        """Replace the result LRU with an empty one of the given bound."""
-        with self._lock:
-            self.config = self.config.replace(cache_size=maxsize)
-            self._lru = LRUCache(maxsize)
-
-    def configure_store(
-        self, path: Optional[os.PathLike]
-    ) -> Optional[ResultStore]:
-        """Pin the persistent tier at ``path`` (``None`` disables it),
-        overriding any ``REPRO_CACHE_DIR`` binding until
-        :meth:`reset_store_binding`.  Returns the attached store."""
-        with self._lock:
-            self.config = self.config.replace(store_path=path)
-            self._store = ResultStore(path) if path is not None else None
-            self._store_env = None
-            self._store_resolved = True
-            self._drop_repair_tier()
-            return self._store
-
-    def reset_store_binding(self) -> None:
-        """Return store resolution to the environment variable."""
-        with self._lock:
-            self.config = self.config.replace(store_path=FOLLOW_ENV)
-            self._store = None
-            self._store_env = None
-            self._store_resolved = False
-            self._drop_repair_tier()
 
     def store_stats(self) -> Optional[StoreStats]:
         """Counters of the persistent tier, or ``None`` when disabled."""

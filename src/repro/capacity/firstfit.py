@@ -68,9 +68,8 @@ def demand_first_fit(
     (occupancy engine from ``DEMAND_FIRSTFIT_MIN_SIZE`` jobs, scalar
     below — the demand fit test is a windowed event sweep, so its
     vectorized crossover sits later than the other variants'),
-    ``"scalar"``, ``"vectorized"`` or ``"compiled"`` (accepted for
-    uniformity — the event sweep has no fused kernel, so it behaves as
-    the NumPy engine); all paths produce bit-identical groupings.
+    ``"scalar"`` or ``"vectorized"``; all paths produce bit-identical
+    groupings.
     """
     ordered = sorted(
         instance.jobs, key=lambda j: (-j.length, -j.demand, j.job_id)
@@ -84,7 +83,7 @@ def demand_first_fit(
         backend, len(ordered), DEMAND_FIRSTFIT_MIN_SIZE
     )
     if resolved != "scalar":
-        occ = DemandOccupancy(instance.g, backend=resolved)
+        occ = DemandOccupancy(instance.g)
         groups = []
         for job in ordered:
             m = occ.first_fit(job.start, job.end, job.demand)

@@ -531,7 +531,9 @@ def _sum_stats(docs: List[dict]) -> dict:
     """Numeric leaves summed across same-shaped stats documents.
 
     Nested dicts merge recursively; strings (paths, states) and
-    booleans drop out — the aggregate is counters only.
+    booleans drop out — the aggregate is counters only.  A sum of
+    rates is not a rate, so ``hit_rate`` is recomputed from the summed
+    ``hits``/``misses`` beside it.
     """
     out: dict = {}
     for doc in docs:
@@ -545,6 +547,9 @@ def _sum_stats(docs: List[dict]) -> dict:
                 value, bool
             ):
                 out[key] = out.get(key, 0) + value
+    if "hit_rate" in out and "hits" in out and "misses" in out:
+        total = out["hits"] + out["misses"]
+        out["hit_rate"] = out["hits"] / total if total else 0.0
     return out
 
 

@@ -45,15 +45,3 @@ class BudgetInfeasibleError(BusyTimeError, ValueError):
     """A MaxThroughput budget is too small to schedule anything meaningful
     where an algorithm requires otherwise."""
 
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """A deprecated ``repro`` API was called.
-
-    Raised (as a warning) by the module-global engine-configuration
-    shims — ``configure_cache``/``configure_store`` — which delegate to
-    the process-default :class:`repro.api.Session`.  New code should
-    construct an explicit ``Session`` with an ``EngineConfig`` instead.
-    Tier-1 CI promotes this category to an error
-    (``pytest.ini`` ``filterwarnings``) so internal code cannot regress
-    onto the shimmed globals.
-    """

@@ -39,10 +39,7 @@ Design rules (matching :mod:`repro.core.vectorized`):
 * **Thresholded dispatch.**  Call sites gate on a per-variant minimum
   size and keep the scalar loop for small inputs; every entry point
   also takes ``backend=`` to force either path, which is how the
-  differential tests cross the threshold in both directions.  A third
-  ``"compiled"`` tier (optional numba, :mod:`repro.core.compiled`)
-  fuses the mask and the bincount into one ``@njit`` loop with the
-  identical comparisons; the NumPy path stays the differential oracle.  The 1-D
+  differential tests cross the threshold in both directions.  The 1-D
   and 2-D variants switch at :data:`FIRSTFIT_VECTORIZE_MIN_SIZE` (=
   the kernels' ``VECTORIZE_MIN_SIZE``); the demand and ring variants
   switch later (:data:`DEMAND_FIRSTFIT_MIN_SIZE`,
@@ -55,11 +52,10 @@ Design rules (matching :mod:`repro.core.vectorized`):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from . import compiled as _compiled
 from .errors import InvalidScheduleError
 from .vectorized import VECTORIZE_MIN_SIZE
 
@@ -108,7 +104,7 @@ def firstfit_min_size(variant: str = "1d") -> int:
     return _MIN_SIZES.get(key, FIRSTFIT_VECTORIZE_MIN_SIZE)
 
 
-_BACKENDS = ("auto", "scalar", "vectorized", "compiled")
+_BACKENDS = ("auto", "scalar", "vectorized")
 
 
 def resolve_backend(
@@ -119,32 +115,15 @@ def resolve_backend(
     ``"auto"`` picks the vectorized engine at ``threshold`` jobs (the
     caller's variant-specific minimum size) and the scalar loop below
     it; the explicit names force a path (used by benchmarks and the
-    differential tests).  ``"compiled"`` is the numba-fused tier of
-    :mod:`repro.core.compiled` — explicit selection requires numba
-    (actionable error otherwise), while ``"auto"`` only routes there
-    above the threshold when ``REPRO_COMPILED`` is set *and* numba is
-    importable, so the default path never depends on the optional
-    dependency.
+    differential tests).
     """
     if backend not in _BACKENDS:
         raise ValueError(
             f"backend must be one of {_BACKENDS}, got {backend!r}"
         )
-    if backend == "compiled":
-        if not _compiled.HAVE_NUMBA:
-            raise ValueError(
-                "backend='compiled' requires numba, which is not "
-                "installed — pip install numba, or use "
-                "backend='vectorized' for the bit-identical NumPy engine"
-            )
-        return backend
     if backend != "auto":
         return backend
-    if n < threshold:
-        return "scalar"
-    if _compiled.compiled_auto_enabled() and _compiled.HAVE_NUMBA:
-        return "compiled"
-    return "vectorized"
+    return "scalar" if n < threshold else "vectorized"
 
 
 class OccupancyEngine:
@@ -158,20 +137,10 @@ class OccupancyEngine:
 
     N_COLUMNS = 2
 
-    def __init__(
-        self,
-        g: int,
-        *,
-        initial_capacity: int = 256,
-        backend: str = "vectorized",
-    ) -> None:
+    def __init__(self, g: int, *, initial_capacity: int = 256) -> None:
         if g < 1:
             raise InvalidScheduleError(f"capacity g must be >= 1, got {g}")
         self.g = int(g)
-        # "compiled" routes placement queries through the numba kernel
-        # when one exists for this geometry; anything else (and any
-        # geometry without a kernel) keeps the NumPy mask+bincount scan.
-        self.backend = backend
         self.n_machines = 0
         self.n_placed = 0
         cap = max(int(initial_capacity), 1)
@@ -182,18 +151,6 @@ class OccupancyEngine:
     def _overlap_mask(self, cols: np.ndarray, row: Tuple[float, ...]) -> np.ndarray:
         """Boolean mask of placed jobs overlapping the query ``row``."""
         raise NotImplementedError
-
-    def _compiled_first_free(
-        self, row: Tuple[float, ...], n: int, n_threads: int
-    ) -> Optional[int]:
-        """First free global thread id via the fused numba kernel.
-
-        Returns ``None`` when no kernel applies (geometry without one,
-        or numba missing) — the caller falls back to the NumPy scan —
-        and ``-1`` when every existing thread is blocked (open a new
-        machine).  Overridden per geometry.
-        """
-        return None
 
     def _append(self, row: Tuple[float, ...], tid: int) -> None:
         n = self.n_placed
@@ -220,16 +177,10 @@ class OccupancyEngine:
         n_threads = self.n_machines * self.g
         if n_threads:
             n = self.n_placed
-            tid: Optional[int] = None
-            if self.backend == "compiled":
-                tid = self._compiled_first_free(row, n, n_threads)
-            if tid is None:
-                mask = self._overlap_mask(self._columns[:, :n], row)
-                blocked = np.bincount(
-                    self._tids[:n][mask], minlength=n_threads
-                )
-                free = blocked == 0
-                tid = int(free.argmax()) if free.any() else -1
+            mask = self._overlap_mask(self._columns[:, :n], row)
+            blocked = np.bincount(self._tids[:n][mask], minlength=n_threads)
+            free = blocked == 0
+            tid = int(free.argmax()) if free.any() else -1
             if tid >= 0:
                 self._append(row, tid)
                 return tid // self.g, tid % self.g
@@ -253,20 +204,6 @@ class IntervalOccupancy(OccupancyEngine):
         s, e = row
         return (cols[0] < e) & (cols[1] > s)
 
-    def _compiled_first_free(
-        self, row: Tuple[float, ...], n: int, n_threads: int
-    ) -> Optional[int]:
-        fn = _compiled.kernel("interval")
-        if fn is None:
-            return None
-        s, e = row
-        return int(
-            fn(
-                self._columns[0], self._columns[1], self._tids,
-                n, s, e, n_threads,
-            )
-        )
-
 
 class RectOccupancy(OccupancyEngine):
     """2-D occupancy for Algorithm 3: columns ``(x0, y0, x1, y1)``.
@@ -284,21 +221,6 @@ class RectOccupancy(OccupancyEngine):
             & (cols[2] > x0)
             & (cols[1] < y1)
             & (cols[3] > y0)
-        )
-
-    def _compiled_first_free(
-        self, row: Tuple[float, ...], n: int, n_threads: int
-    ) -> Optional[int]:
-        fn = _compiled.kernel("rect")
-        if fn is None:
-            return None
-        x0, y0, x1, y1 = row
-        return int(
-            fn(
-                self._columns[0], self._columns[1],
-                self._columns[2], self._columns[3], self._tids,
-                n, x0, y0, x1, y1, n_threads,
-            )
         )
 
 
@@ -341,22 +263,6 @@ class RingOccupancy(OccupancyEngine):
         )
         return time_ov & arc_ov
 
-    def _compiled_first_free(
-        self, row: Tuple[float, ...], n: int, n_threads: int
-    ) -> Optional[int]:
-        fn = _compiled.kernel("ring")
-        if fn is None:
-            return None
-        a0, alen, t0, t1 = row
-        return int(
-            fn(
-                self._columns[0], self._columns[1],
-                self._columns[2], self._columns[3], self._tids,
-                n, a0, alen, t0, t1,
-                self._query_circumference, n_threads,
-            )
-        )
-
 
 class DemandOccupancy:
     """Machine-level occupancy for demand-aware FirstFit.
@@ -372,13 +278,10 @@ class DemandOccupancy:
     the placed jobs whose windows overlap the query's.
     """
 
-    def __init__(self, g: int, *, backend: str = "vectorized") -> None:
+    def __init__(self, g: int) -> None:
         if g < 1:
             raise InvalidScheduleError(f"capacity g must be >= 1, got {g}")
         self.g = int(g)
-        # The event sweep has no fused kernel; "compiled" is accepted
-        # for call-site uniformity and behaves as the NumPy engine.
-        self.backend = backend
         self._machines: list = []  # per machine: [starts, ends, demands, count]
 
     @property

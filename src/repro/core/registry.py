@@ -1,6 +1,6 @@
 """Pluggable objective/solver registry.
 
-The engine's front door (:func:`repro.engine.solve`) used to be a
+The engine's front door (:meth:`repro.api.Session.solve`) used to be a
 hard-coded two-objective switch.  This module is the ``core``-level
 replacement: each problem family registers an :class:`ObjectiveSpec`
 bundling everything the serving layer needs to route, cache, and verify

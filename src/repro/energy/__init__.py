@@ -11,7 +11,8 @@ optimal per-gap idle-vs-sleep policy (the classic ski-rental threshold).
 Registered with the engine as the ``energy`` objective
 (:mod:`repro.energy.objective`): pass an
 :class:`~repro.energy.instance.EnergyInstance` — or a plain
-``Instance`` plus ``power=PowerModel(...)`` — to ``repro.engine.solve``.
+``Instance`` plus ``power=PowerModel(...)`` — to
+:meth:`repro.api.Session.solve`.
 """
 
 from .instance import EnergyInstance

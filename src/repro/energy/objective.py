@@ -8,7 +8,7 @@ reported ``cost`` is the energy; the busy-time objective value rides
 along in ``detail["busy_cost"]``.
 
 Callers can pass a bare :class:`~repro.core.instance.Instance` plus a
-``power=PowerModel(...)`` parameter to :func:`repro.engine.solve`; the
+``power=PowerModel(...)`` parameter to :meth:`repro.api.Session.solve`; the
 normalizer wraps both into an :class:`EnergyInstance` so the power
 parameters participate in the fingerprint (same jobs under two power
 models cache separately).

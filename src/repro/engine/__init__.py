@@ -6,31 +6,26 @@ execution core on top, built as explicit layers (``ARCHITECTURE.md``
 has the full picture; :mod:`repro.service` is the network front end
 over the same primitives, and :mod:`repro.api` is the session layer
 above both — explicit :class:`~repro.api.Session` objects own the
-state that used to live in this package's module globals; the
-functions below are thread-safe shims over a lazily-created
-process-default session):
+cache and executor state; this package holds no module-global state):
 
-* :func:`solve` / :func:`solve_many` — unified entry points routing
-  any instance to the strongest applicable algorithm for the requested
-  objective.  All eight problem families resolve through the pluggable
-  registry (:data:`repro.core.registry.REGISTRY`): ``minbusy``,
+* **Registry dispatch** — :func:`plan_solve` routes any instance to
+  the strongest applicable algorithm for the requested objective.  All
+  eight problem families resolve through the pluggable registry
+  (:data:`repro.core.registry.REGISTRY`): ``minbusy``,
   ``maxthroughput``, ``capacity``, ``rect2d``, ``ring``, ``tree``,
-  ``flexible`` and ``energy``; :func:`objectives` lists them.  Each
+  ``flexible`` and ``energy``; :func:`objectives` lists them.  A solve
   returns an :class:`EngineResult` with the objective value, algorithm
   provenance and timing.
 * **Cache layer** (:mod:`repro.engine.tiers`) — solves are memoized by
   a versioned, objective-qualified SHA-256 content fingerprint
   (:mod:`repro.engine.fingerprint`) in a :class:`TieredCache` probed
-  top-down with upward promotion: a per-session :class:`LRUTier`
-  (:func:`cache_info` / :func:`clear_cache`) over an optional
-  disk-backed, cross-process :class:`StoreTier`
+  top-down with upward promotion: a per-session :class:`LRUTier` over
+  an optional disk-backed, cross-process :class:`StoreTier`
   (:mod:`repro.engine.store`; bind with
   ``Session(store_path=...)``/``EngineConfig`` or the
   ``REPRO_CACHE_DIR`` environment variable, inspect with
-  :func:`store_stats` or ``repro cache stats``; the
-  :func:`configure_cache`/:func:`configure_store` shims are
-  deprecated).  Worker pools and repeated CLI invocations share
-  persisted hits.
+  ``Session.store_stats()`` or ``repro cache stats``).  Worker pools
+  and repeated CLI invocations share persisted hits.
 * **Executor layer** (:mod:`repro.engine.executors`) — cache misses
   run on a pluggable backend selected by ``backend=auto|serial|
   process|async``: an in-process loop, the deterministic chunked
@@ -48,16 +43,17 @@ process-default session):
   independent of instance size.  ``repro bench`` and E16/E17 track the
   speedups; E18 tracks the store tier, E19 the serving layer.
 
-Quickstart::
+Quickstart (through a :class:`~repro.api.Session`)::
 
-    from repro.engine import solve, solve_many
+    from repro.api import Session
 
-    res = solve(instance)                          # MinBusy by default
-    res = solve(instance, "maxthroughput", budget=42.0)
-    res = solve(RectInstance(rects, g=3), "rect2d")
-    res = solve(instance, "energy", power=PowerModel(wake_cost=3.0))
-    batch = solve_many(instances, workers=4)       # deterministic order
-    batch = solve_many(instances, backend="async") # same bytes out
+    s = Session()
+    res = s.solve(instance)                          # MinBusy by default
+    res = s.solve(instance, "maxthroughput", budget=42.0)
+    res = s.solve(RectInstance(rects, g=3), "rect2d")
+    res = s.solve(instance, "energy", power=PowerModel(wake_cost=3.0))
+    batch = s.solve_many(instances, workers=4)       # deterministic order
+    batch = s.solve_many(instances, backend="async") # same bytes out
 
 Registering a new objective
 ---------------------------
@@ -79,9 +75,9 @@ Registering a new objective
    independent validity re-check).
 3. ``REGISTRY.register(spec)`` at module level, and add the module to
    ``_FAMILY_MODULES`` in :mod:`repro.engine.objectives`.  The engine
-   then serves the family through ``solve``/``solve_many`` with LRU +
-   store caching and deterministic multiprocessing — no engine changes
-   needed.
+   then serves the family through ``Session.solve``/``solve_many``
+   with LRU + store caching and deterministic multiprocessing — no
+   engine changes needed.
 """
 
 from .bench import (
@@ -98,23 +94,12 @@ from .engine import (
     MINBUSY,
     EngineResult,
     SolvePlan,
-    cache_info,
     cached_result,
-    clear_cache,
-    clear_store,
-    configure_cache,
-    configure_store,
-    default_session,
     install_result,
     objectives,
     plan_solve,
-    reset_store_binding,
     serve_hit,
-    solve,
-    solve_many,
-    store_stats,
     strip_for_store,
-    tiered_cache,
 )
 from .executors import (
     BACKENDS,
@@ -130,7 +115,7 @@ from .executors import (
 )
 from .fingerprint import fingerprint_v2, instance_fingerprint, solve_key
 from .health import EJECTED, HEALTHY, SUSPECT, FleetHealth, ShardCircuit
-from .partition import ModuloPartitioner, Partitioner, RingPartitioner
+from .partition import Partitioner, RingPartitioner
 from .repair import REPAIR_INDEX_VERSION, RepairSpec, RepairTier
 from .store import STORE_VERSION, ResultStore, StoreStats, default_store_dir
 from .tiers import CacheTier, LRUTier, StoreTier, TieredCache
@@ -150,23 +135,12 @@ __all__ = [
     "MINBUSY",
     "EngineResult",
     "SolvePlan",
-    "cache_info",
     "cached_result",
-    "clear_cache",
-    "clear_store",
-    "configure_cache",
-    "configure_store",
-    "default_session",
     "install_result",
     "objectives",
     "plan_solve",
-    "reset_store_binding",
     "serve_hit",
-    "solve",
-    "solve_many",
-    "store_stats",
     "strip_for_store",
-    "tiered_cache",
     "BACKENDS",
     "AsyncQueueExecutor",
     "Executor",
@@ -183,7 +157,6 @@ __all__ = [
     "SUSPECT",
     "EJECTED",
     "Partitioner",
-    "ModuloPartitioner",
     "RingPartitioner",
     "CacheTier",
     "LRUTier",

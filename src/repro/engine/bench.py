@@ -306,18 +306,19 @@ def batch_timing(
     workers: Optional[int] = None,
     seed: int = 0,
 ) -> BatchTiming:
-    """Time a cold ``solve_many`` batch and the fully-cached re-run."""
-    from .engine import clear_cache, solve_many
+    """Time a cold ``solve_many`` batch and the fully-cached re-run on
+    a fresh store-less session."""
+    from ..api import Session
 
     instances = [
         bench_instance(n_jobs, seed=seed + i) for i in range(n_instances)
     ]
-    clear_cache()
+    session = Session(store_path=None)
     t0 = time.perf_counter()
-    cold = solve_many(instances, objective, workers=workers)
+    cold = session.solve_many(instances, objective, workers=workers)
     cold_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    warm = solve_many(instances, objective, workers=workers)
+    warm = session.solve_many(instances, objective, workers=workers)
     cached_s = time.perf_counter() - t0
     assert [r.cost for r in cold] == [r.cost for r in warm]
     assert all(r.from_cache for r in warm)

@@ -37,10 +37,9 @@ __all__ = ["pick_throughput_solver", "first_fit_backend"]
 def first_fit_backend(n: int, variant: str = "1d") -> str:
     """Which FirstFit inner loop serves an ``n``-job instance.
 
-    Returns ``"vectorized"`` (occupancy engine), ``"compiled"`` (the
-    numba tier, only when ``REPRO_COMPILED`` opts in and numba is
-    importable) or ``"scalar"`` — the thresholded decision the
-    variant's entry point makes with ``backend="auto"``.  ``variant`` is ``"1d"`` (default), ``"rect"``,
+    Returns ``"vectorized"`` (occupancy engine) or ``"scalar"`` — the
+    thresholded decision the variant's entry point makes with
+    ``backend="auto"``.  ``variant`` is ``"1d"`` (default), ``"rect"``,
     ``"demand"`` or ``"ring"``; the demand and ring variants switch
     later because their scalar probes are cheap relative to their
     vectorized fit tests (see the calibrated minimum sizes in

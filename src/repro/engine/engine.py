@@ -1,60 +1,28 @@
-"""The engine's solve primitives, plus the legacy module-global shims.
+"""The engine's stateless solve primitives.
 
-Since the session redesign (see ``ARCHITECTURE.md``, "Session layer")
-the engine's *state* — result LRU, persistent-store binding, executor
+The engine's *state* — result LRU, persistent-store binding, executor
 defaults — lives in :class:`repro.api.Session` objects, each owning an
-:class:`repro.api.EngineConfig`.  What remains here is:
-
-* the **stateless primitives** every client composes —
-  :func:`plan_solve` (registry dispatch: resolve, type-check,
-  normalize, fingerprint), :func:`cached_result` /
-  :func:`install_result` (one tiered probe / write-through against an
-  explicit :class:`~repro.engine.tiers.TieredCache`), and the hit
-  rebinding / store stripping transforms;
-* the **process-default session** (:func:`default_session`, created
-  lazily under a lock) and the **module-global shims** that delegate
-  to it: :func:`solve`, :func:`solve_many`, :func:`cache_info`,
-  :func:`store_stats` and friends keep working exactly as before,
-  while :func:`configure_cache` / :func:`configure_store` additionally
-  raise :class:`~repro.core.errors.ReproDeprecationWarning` — new code
-  should construct an explicit ``Session`` instead of mutating
-  process-wide state.  Tier-1 CI promotes that warning to an error, so
-  nothing inside ``repro`` may call the deprecated shims.
-
-This module is the *only* place in the package that touches the
-process-default session; every other entry point (CLI, service,
-examples) builds its own ``Session``.
+:class:`repro.api.EngineConfig` (see ``ARCHITECTURE.md``, "Session
+layer").  What lives here is what every client composes:
+:func:`plan_solve` (registry dispatch: resolve, type-check, normalize,
+fingerprint), :func:`cached_result` / :func:`install_result` (one
+tiered probe / write-through against an explicit
+:class:`~repro.engine.tiers.TieredCache`), and the hit rebinding /
+store stripping transforms.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
 from dataclasses import dataclass, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, List, Mapping, Optional, Tuple, Union
 
-from ..core.errors import ReproDeprecationWarning
 from ..core.instance import BudgetInstance, Instance
 from ..core.registry import REGISTRY, ObjectiveSpec, Solved
 from ..core.schedule import Schedule
-from .cache import CacheInfo
-from .executors import Executor, SolveTask
+from .executors import SolveTask
 from .fingerprint import key_from_fingerprint
-from .store import StoreStats
 from .tiers import TieredCache
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.session import Session
 
 __all__ = [
     "MINBUSY",
@@ -66,18 +34,7 @@ __all__ = [
     "install_result",
     "strip_for_store",
     "serve_hit",
-    "default_session",
-    "tiered_cache",
-    "solve",
-    "solve_many",
     "objectives",
-    "cache_info",
-    "clear_cache",
-    "configure_cache",
-    "configure_store",
-    "reset_store_binding",
-    "store_stats",
-    "clear_store",
 ]
 
 AnyInstance = Union[Instance, BudgetInstance]
@@ -254,12 +211,10 @@ def plan_solve(
 
 
 def cached_result(
-    plan: SolvePlan, cache: Optional[TieredCache] = None
+    plan: SolvePlan, cache: TieredCache
 ) -> Optional[EngineResult]:
     """The plan's result from the cache stack, rebound to its instance
-    (tiers are probed top-down; lower-tier hits are promoted).  With no
-    explicit ``cache`` the process-default session's stack is probed."""
-    cache = cache if cache is not None else tiered_cache()
+    (tiers are probed top-down; lower-tier hits are promoted)."""
     hit = cache.get(plan.key, context=plan)
     if hit is None:
         return None
@@ -267,12 +222,9 @@ def cached_result(
 
 
 def install_result(
-    plan: SolvePlan,
-    result: EngineResult,
-    cache: Optional[TieredCache] = None,
+    plan: SolvePlan, result: EngineResult, cache: TieredCache
 ) -> None:
     """Write a fresh result through every cache tier."""
-    cache = cache if cache is not None else tiered_cache()
     cache.put(plan.key, result, context=plan)
 
 
@@ -292,176 +244,3 @@ def _as_solved(result: EngineResult) -> Solved:
         assignment_by_position=result.assignment_by_position,
         detail=result.detail,
     )
-
-
-# ----------------------------------------------------------------------
-# the process-default session and the module-global shims
-# ----------------------------------------------------------------------
-
-_DEFAULT_LOCK = threading.RLock()
-_DEFAULT_SESSION: Optional["Session"] = None
-
-
-def default_session() -> "Session":
-    """The lazily-created process-default :class:`~repro.api.Session`.
-
-    This is what the module-global :func:`solve`/:func:`solve_many`
-    delegate to.  Creation is double-checked under a lock so concurrent
-    first calls (threads, the async backend's worker threads) share one
-    session instead of racing several into existence; its store binding
-    follows ``REPRO_CACHE_DIR`` (see
-    :data:`repro.api.FOLLOW_ENV`), preserving the historical
-    module-global behaviour.
-    """
-    global _DEFAULT_SESSION
-    session = _DEFAULT_SESSION
-    if session is not None:
-        return session
-    with _DEFAULT_LOCK:
-        if _DEFAULT_SESSION is None:
-            from ..api.config import EngineConfig
-            from ..api.session import Session
-
-            _DEFAULT_SESSION = Session(EngineConfig.from_env())
-        return _DEFAULT_SESSION
-
-
-def _reset_default_session() -> None:
-    """Drop the process-default session (test hygiene only)."""
-    global _DEFAULT_SESSION
-    with _DEFAULT_LOCK:
-        _DEFAULT_SESSION = None
-
-
-def _deprecated_global(name: str, instead: str) -> None:
-    warnings.warn(
-        f"repro.engine.{name} mutates process-global engine state and is "
-        f"deprecated; {instead}",
-        ReproDeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def tiered_cache() -> TieredCache:
-    """The process-default session's cache stack (LRU over the optional
-    store), rebuilt per call from its live bindings."""
-    return default_session().cache()
-
-
-def solve(
-    instance: Any,
-    objective: Optional[str] = None,
-    *,
-    budget: Optional[float] = None,
-    use_cache: bool = True,
-    verify: bool = False,
-    backend: Optional[str] = None,
-    **params: Any,
-) -> EngineResult:
-    """Solve one instance on the process-default session.
-
-    Thin delegation to :meth:`repro.api.Session.solve` — see there for
-    the full contract.  ``objective`` is any registered name or alias
-    (default ``minbusy``); family parameters ride along as keywords
-    (``budget=`` for MaxThroughput, ``power=`` for energy); ``backend``
-    picks the executor for a cache miss.  Prefer an explicit
-    ``Session`` when you need isolated caches or non-default
-    configuration.
-    """
-    return default_session().solve(
-        instance,
-        objective,
-        budget=budget,
-        use_cache=use_cache,
-        verify=verify,
-        backend=backend,
-        **params,
-    )
-
-
-def solve_many(
-    instances: Sequence[Any],
-    objective: Optional[str] = None,
-    *,
-    budget: Optional[float] = None,
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    use_cache: bool = True,
-    backend: Optional[str] = None,
-    executor: Optional[Executor] = None,
-    **params: Any,
-) -> List[EngineResult]:
-    """Solve a batch on the process-default session; results in input
-    order.  Thin delegation to :meth:`repro.api.Session.solve_many`."""
-    return default_session().solve_many(
-        instances,
-        objective,
-        budget=budget,
-        workers=workers,
-        chunksize=chunksize,
-        use_cache=use_cache,
-        backend=backend,
-        executor=executor,
-        **params,
-    )
-
-
-# ----------------------------------------------------------------------
-# cache/store management shims
-# ----------------------------------------------------------------------
-
-
-def cache_info() -> CacheInfo:
-    """Hit/miss/size counters of the default session's result LRU."""
-    return default_session().cache_info()
-
-
-def clear_cache() -> None:
-    """Drop the default session's cached results (LRU tier only)."""
-    default_session().clear_cache()
-
-
-def configure_cache(maxsize: int) -> None:
-    """Replace the default session's result cache (deprecated).
-
-    Prefer ``Session(EngineConfig(cache_size=...))`` — a private
-    session whose cache cannot be clobbered by other callers.
-    """
-    _deprecated_global(
-        "configure_cache",
-        "construct repro.api.Session(EngineConfig(cache_size=...)) instead",
-    )
-    default_session().configure_cache(maxsize)
-
-
-def configure_store(path: Optional[Any]):
-    """Attach the default session's persistent tier (deprecated).
-
-    ``None`` disables it; a path pins it, overriding the
-    ``REPRO_CACHE_DIR`` environment binding until
-    :func:`reset_store_binding`.  Returns the attached store.  Prefer
-    ``Session(EngineConfig(store_path=...))``.
-    """
-    _deprecated_global(
-        "configure_store",
-        "construct repro.api.Session(EngineConfig(store_path=...)) instead",
-    )
-    return default_session().configure_store(path)
-
-
-def reset_store_binding() -> None:
-    """Return the default session's store resolution to the
-    ``REPRO_CACHE_DIR`` environment variable (test hygiene hook)."""
-    default_session().reset_store_binding()
-
-
-def store_stats() -> Optional[StoreStats]:
-    """Counters of the default session's persistent tier, or ``None``
-    when disabled."""
-    return default_session().store_stats()
-
-
-def clear_store() -> None:
-    """Drop every result the default session persisted (no-op when the
-    tier is disabled)."""
-    default_session().clear_store()

@@ -2,23 +2,18 @@
 
 A :class:`Partitioner` maps an objective-qualified cache key (the same
 key the cache tiers and the async executor coalesce on) to the shard
-that owns its keyspace.  Two implementations:
+that owns its keyspace: :class:`RingPartitioner`, a weighted
+consistent-hash ring with ~100 virtual nodes per weight unit.  Adding
+or removing one shard moves only the keys the departed/arrived shard
+owns (~1/N of the space for equal weights); every other key keeps its
+owner, so the fleet's warm shard caches survive reshard events.
+Weights scale a shard's share of the ring, so heterogeneous fleets can
+be balanced by capacity.
 
-* :class:`ModuloPartitioner` — CRC32 of the key modulo the shard
-  count; the historical ``ShardedClient`` rule, kept as the oracle the
-  equivalence tests compare against.  Uniform, but any change to the
-  fleet size remaps essentially the whole keyspace.
-* :class:`RingPartitioner` — a weighted consistent-hash ring with ~100
-  virtual nodes per weight unit.  Adding or removing one shard moves
-  only the keys the departed/arrived shard owns (~1/N of the space for
-  equal weights); every other key keeps its owner, so the fleet's warm
-  shard caches survive reshard events.  Weights scale a shard's share
-  of the ring, so heterogeneous fleets can be balanced by capacity.
-
-Both expose :meth:`~Partitioner.preference` — *every* shard in
-failover order for a key, owner first — which is what lets the sharded
-executor re-route a dead shard's slice deterministically: survivors
-take over exactly the keys whose preference list reaches them next.
+:meth:`~Partitioner.preference` lists *every* shard in failover order
+for a key, owner first, which is what lets the sharded executor
+re-route a dead shard's slice deterministically: survivors take over
+exactly the keys whose preference list reaches them next.
 
 The ring layout is **byte-stable**: vnode placement hashes only the
 shard index, vnode index, and digest size (``blake2b``, unsalted), so
@@ -31,13 +26,11 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import zlib
 from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
 __all__ = [
     "DEFAULT_REPLICAS_PER_UNIT",
     "Partitioner",
-    "ModuloPartitioner",
     "RingPartitioner",
 ]
 
@@ -62,33 +55,6 @@ class Partitioner(Protocol):
     def shard_of(self, key: str) -> int: ...
 
     def preference(self, key: str) -> Tuple[int, ...]: ...
-
-
-class ModuloPartitioner:
-    """CRC32(key) % N — the historical sharding rule, kept as oracle.
-
-    Stable across processes and runs (no salted hashing) and uniform
-    enough for load spreading, but a fleet-size change remaps ~all
-    keys; use :class:`RingPartitioner` for fleets that reshard.
-    """
-
-    def __init__(self, n_shards: int) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = n_shards
-
-    def shard_of(self, key: str) -> int:
-        return zlib.crc32(key.encode()) % self.n_shards
-
-    def preference(self, key: str) -> Tuple[int, ...]:
-        """Owner first, then the remaining shards in wrap-around order."""
-        owner = self.shard_of(key)
-        return tuple(
-            (owner + step) % self.n_shards for step in range(self.n_shards)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ModuloPartitioner({self.n_shards})"
 
 
 class RingPartitioner:

@@ -377,9 +377,7 @@ def minbusy_repair_spec() -> RepairSpec:
         g, n, jobs = instance.g, instance.n, instance.jobs
         if not _valid_tid_prefix(prefix, g):
             return None
-        occ = IntervalOccupancy(
-            g, initial_capacity=max(256, n), backend="vectorized"
-        )
+        occ = IntervalOccupancy(g, initial_capacity=max(256, n))
         k = int(lcp)
         tids = np.empty(n, dtype=np.int64)
         if k:
@@ -518,7 +516,7 @@ def capacity_repair_spec() -> RepairSpec:
         # Machine ids behave like tids with g=1 (contiguous opening).
         if not _valid_tid_prefix(prefix, 1):
             return None
-        occ = DemandOccupancy(g, backend="vectorized")
+        occ = DemandOccupancy(g)
         k = int(lcp)
         n_open = int(prefix.max()) + 1 if k else 0
         groups: List[List[Any]] = [[] for _ in range(n_open)]
@@ -625,9 +623,7 @@ def rect2d_repair_spec() -> RepairSpec:
         g, n, rects = instance.g, instance.n, instance.rects
         if not _valid_tid_prefix(prefix, g):
             return None
-        occ = RectOccupancy(
-            g, initial_capacity=max(256, n), backend="vectorized"
-        )
+        occ = RectOccupancy(g, initial_capacity=max(256, n))
         k = int(lcp)
         if k:
             occ._columns[:, :k] = q_ordered[:k, :4].T
@@ -737,9 +733,7 @@ def ring_repair_spec() -> RepairSpec:
         g, n, jobs = instance.g, instance.n, instance.jobs
         if not _valid_tid_prefix(prefix, g):
             return None
-        occ = RingOccupancy(
-            g, initial_capacity=max(256, n), backend="vectorized"
-        )
+        occ = RingOccupancy(g, initial_capacity=max(256, n))
         k = int(lcp)
         if k:
             occ._columns[:, :k] = q_ordered[:k, :4].T

@@ -67,14 +67,13 @@ def first_fit_machines(
     """Run FirstFit and return the machines with their thread structure.
 
     ``backend`` is ``"auto"`` (occupancy engine at
-    ``FIRSTFIT_VECTORIZE_MIN_SIZE`` jobs, scalar below), ``"scalar"``,
-    ``"vectorized"``, or ``"compiled"`` (the optional numba tier); all
-    paths return bit-identical structures.
+    ``FIRSTFIT_VECTORIZE_MIN_SIZE`` jobs, scalar below), ``"scalar"``
+    or ``"vectorized"``; both paths return bit-identical structures.
     """
     ordered = sorted(jobs, key=firstfit_sort_key)
     resolved = resolve_backend(backend, len(ordered))
     if resolved != "scalar":
-        return _first_fit_machines_vectorized(ordered, g, resolved)
+        return _first_fit_machines_vectorized(ordered, g)
     return _first_fit_machines_scalar(ordered, g)
 
 
@@ -93,10 +92,10 @@ def _first_fit_machines_scalar(ordered: List[Job], g: int) -> List[Machine]:
 
 
 def _first_fit_machines_vectorized(
-    ordered: List[Job], g: int, backend: str = "vectorized"
+    ordered: List[Job], g: int
 ) -> List[Machine]:
     """Occupancy-engine loop: one batched fit query per job."""
-    occ = IntervalOccupancy(g, backend=backend)
+    occ = IntervalOccupancy(g)
     machines: List[Machine] = []
     for job in ordered:
         m, tau = occ.first_fit(job.start, job.end)

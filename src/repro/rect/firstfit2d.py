@@ -37,14 +37,14 @@ def first_fit_2d(
 ) -> RectSchedule:
     """Run 2-D FirstFit; returns the machine/thread structure.
 
-    ``backend`` is ``"auto"``/``"scalar"``/``"vectorized"``/
-    ``"compiled"``; all paths build bit-identical structures.
+    ``backend`` is ``"auto"``/``"scalar"``/``"vectorized"``; all paths
+    build bit-identical structures.
     """
     ordered = sorted(rects, key=lambda r: (-r.len2, r.rect_id))
     machines: List[RectMachine] = []
     resolved = resolve_backend(backend, len(ordered))
     if resolved != "scalar":
-        occ = RectOccupancy(g, backend=resolved)
+        occ = RectOccupancy(g)
         for rect in ordered:
             m, tau = occ.first_fit(rect.x0, rect.y0, rect.x1, rect.y1)
             if m == len(machines):

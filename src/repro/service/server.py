@@ -92,8 +92,8 @@ class SolveServer:
     (``None`` = unbounded), and ``port=0`` binds an ephemeral port
     (read :attr:`port` after startup).  ``session`` is the
     :class:`repro.api.Session` whose cache stack the server probes and
-    installs into (default: the process-default session, so in-process
-    test servers share tiers with direct engine calls).
+    installs into (default: ``Session(EngineConfig.from_env())``, a
+    private stack configured from the process environment).
     """
 
     def __init__(
@@ -142,13 +142,12 @@ class SolveServer:
         # The cache stack this server probes and installs into.  An
         # explicit Session isolates the server from everything else in
         # the process (the CLI's `repro serve` builds one from its
-        # flags); the default is the process-default session, so an
-        # in-process test server shares tiers with direct engine calls
-        # exactly as before the session layer.
+        # flags); the default is a private session configured from the
+        # process environment.
         if session is None:
-            from ..engine.engine import default_session
+            from ..api import EngineConfig, Session
 
-            session = default_session()
+            session = Session(EngineConfig.from_env())
         self.session = session
         # Executor knobs default to the session's own config, so a
         # server given Session(backend="process", workers=8) serves

@@ -77,14 +77,14 @@ def ring_first_fit(
     variant.  ``backend`` is ``"auto"`` (occupancy engine from
     ``RING_FIRSTFIT_MIN_SIZE`` jobs — the wrap-around arc mask makes
     the vectorized crossover later than the planar variants'),
-    ``"scalar"``, ``"vectorized"`` or ``"compiled"``; all paths build
-    bit-identical machine/thread structures.
+    ``"scalar"`` or ``"vectorized"``; all paths build bit-identical
+    machine/thread structures.
     """
     ordered = sorted(jobs, key=lambda j: (-j.len2, j.job_id))
     machines: List[RingMachine] = []
     resolved = resolve_backend(backend, len(ordered), RING_FIRSTFIT_MIN_SIZE)
     if resolved != "scalar":
-        occ = RingOccupancy(g, backend=resolved)
+        occ = RingOccupancy(g)
         for job in ordered:
             # The scalar pair test uses the *query* job's circumference
             # (RingJob.overlaps passes self.circumference).

@@ -9,9 +9,9 @@ import pytest
 from repro.core.instance import Instance
 
 # Hermeticity: an ambient REPRO_CACHE_DIR would attach the persistent
-# store tier to every engine call and leak state between runs; tests
-# that exercise the store opt in explicitly via configure_store or
-# monkeypatched environments.
+# store tier to every env-following session and leak state between
+# runs; tests that exercise the store opt in explicitly with
+# Session(store_path=...) or monkeypatched environments.
 os.environ.pop("REPRO_CACHE_DIR", None)
 
 # Re-exported for backwards compatibility: the reference oracles now
@@ -19,6 +19,15 @@ os.environ.pop("REPRO_CACHE_DIR", None)
 from tests.helpers import brute_force_max_throughput, brute_force_min_busy
 
 __all__ = ["brute_force_min_busy", "brute_force_max_throughput"]
+
+
+@pytest.fixture
+def session():
+    """A fresh store-less Session: private LRU, no persistent tier."""
+    from repro.api import Session
+
+    with Session(store_path=None) as s:
+        yield s
 
 
 @pytest.fixture

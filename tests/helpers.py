@@ -11,6 +11,9 @@ per-family generators behind the executor-backend differential suite
 and the service tests: one canonical way to produce "a random instance
 of family F at seed s", both as an engine instance object and as the
 wire-format ``(instance document, params)`` pair the service speaks.
+
+:class:`ModuloPartitioner` is the CRC32-modulo sharding rule the
+consistent-hash ring is measured against.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "family_instance",
     "family_request",
     "spawn_serve_subprocess",
+    "ModuloPartitioner",
 ]
 
 
@@ -258,6 +262,30 @@ def spawn_serve_subprocess(*extra_args: str, timeout: float = 30.0):
             f"repro serve produced no readiness banner: {banner!r}"
         )
     return proc, int(match.group(1))
+
+
+class ModuloPartitioner:
+    """CRC32(key) % N, the historical sharding rule kept as an oracle.
+
+    Stable across processes and runs (no salted hashing) and uniform
+    enough for load spreading, but a fleet-size change remaps ~all
+    keys, which is what the ring's reshard tests measure against.
+    """
+
+    def __init__(self, n_shards: int) -> None:
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+        self.n_shards = n_shards
+
+    def shard_of(self, key: str) -> int:
+        return zlib.crc32(key.encode()) % self.n_shards
+
+    def preference(self, key: str) -> Tuple[int, ...]:
+        """Owner first, then the remaining shards in wrap-around order."""
+        owner = self.shard_of(key)
+        return tuple(
+            (owner + step) % self.n_shards for step in range(self.n_shards)
+        )
 
 
 def family_instance(family: str, seed: int) -> Tuple[Any, Dict[str, Any]]:

@@ -10,15 +10,13 @@ families — ``solve``, ``solve_many`` and ``solve_stream`` alike.
 
 Alongside it: the session-isolation suite (two sessions with different
 stores never cross-contaminate hits — concurrently too), and the
-thread-safety regression for the default-session shims (creation and
-store rebinding used to race on unguarded module globals).
+thread-safety regression for env-following store rebinding.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import warnings
 
 import pytest
 
@@ -30,9 +28,6 @@ from repro.api import (
     ShardedClient,
     SolverClient,
 )
-from repro.core.errors import ReproDeprecationWarning
-from repro.engine import clear_cache, reset_store_binding
-from repro.engine.engine import default_session
 from repro.service.protocol import result_to_doc
 from tests.helpers import (
     ALL_FAMILIES,
@@ -387,44 +382,15 @@ class TestSessionIsolation:
 
 
 class TestDefaultSessionThreadSafety:
-    """Regression: default-session creation and store rebinding used
-    to race on unguarded module globals (`_STORE`/`_STORE_ENV`)."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh(self):
-        clear_cache()
-        reset_store_binding()
-        yield
-        clear_cache()
-        reset_store_binding()
-
-    def test_concurrent_first_use_creates_one_session(self):
-        from repro.engine import engine as engine_module
-
-        engine_module._reset_default_session()
-        barrier = threading.Barrier(8)
-        seen = []
-        lock = threading.Lock()
-
-        def grab():
-            barrier.wait()
-            s = default_session()
-            with lock:
-                seen.append(id(s))
-
-        threads = [threading.Thread(target=grab) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(seen)) == 1
+    """Regression: store rebinding of an env-following session (the
+    one a bare ``SolveServer`` builds from ``EngineConfig.from_env()``)
+    used to race on unguarded state."""
 
     def test_env_rebinding_race_is_coherent(self, tmp_path, monkeypatch):
-        """Readers flipping through ``tiered_cache()`` while the env
-        binding churns must only ever observe one of the two valid
-        stacks — never a torn binding or an exception."""
-        from repro.engine import tiered_cache
-
+        """Readers flipping through ``cache()`` while the env binding
+        churns must only ever observe one of the two valid stacks —
+        never a torn binding or an exception."""
+        session = Session(EngineConfig.from_env())
         dir_a = str(tmp_path / "a")
         dir_b = str(tmp_path / "b")
         stop = threading.Event()
@@ -435,7 +401,7 @@ class TestDefaultSessionThreadSafety:
             valid = {None, dir_a, dir_b}
             while not stop.is_set():
                 try:
-                    stats = tiered_cache().stats()
+                    stats = session.cache().stats()
                     path = (
                         stats["store"]["path"]
                         if "store" in stats
@@ -457,23 +423,11 @@ class TestDefaultSessionThreadSafety:
         monkeypatch.delenv("REPRO_CACHE_DIR")
         stop.set()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+            assert not t.is_alive()
+        session.close()
         assert not errors
         assert observed  # the readers really ran
-
-    def test_configure_shims_warn_and_delegate(self, tmp_path):
-        from repro.engine import configure_cache, configure_store
-
-        with pytest.warns(ReproDeprecationWarning):
-            store = configure_store(tmp_path)
-        assert store is not None
-        assert default_session().store() is store
-        with pytest.warns(ReproDeprecationWarning):
-            configure_cache(17)
-        assert default_session().cache_info().maxsize == 17
-        with pytest.warns(ReproDeprecationWarning):
-            configure_cache(1024)
-        reset_store_binding()
 
 
 class TestEngineConfig:

@@ -17,17 +17,7 @@ import socket
 import pytest
 
 from repro.cli import main
-from repro.engine import clear_cache, reset_store_binding
 from tests.helpers import family_request
-
-
-@pytest.fixture(autouse=True)
-def _fresh_engine_state():
-    clear_cache()
-    reset_store_binding()
-    yield
-    clear_cache()
-    reset_store_binding()
 
 
 @pytest.fixture()
@@ -321,7 +311,6 @@ class TestMachineReadableOutput:
 
     def test_solve_backend_flag_json(self, inst_path, capsys):
         for backend in ("serial", "process", "async"):
-            clear_cache()
             assert (
                 main(
                     [
@@ -562,3 +551,34 @@ class TestShardedCacheStatsSchema:
             "unreachable": 1,
         }
         assert "unreachable" in human
+
+    def test_sum_stats_recomputes_hit_rate_from_counts(self):
+        """The shard aggregate of a ratio is the ratio of the summed
+        counts: rates 0.5 and 0.75 over 4 hits / 2 misses give 2/3,
+        not their sum."""
+        from repro.cli import _sum_stats
+
+        def shard(hits, misses, mode):
+            return {
+                "wire": {
+                    "hits": hits,
+                    "misses": misses,
+                    "by_format": {
+                        "ndjson": {
+                            "hits": hits,
+                            "misses": misses,
+                            "hit_rate": hits / (hits + misses),
+                        },
+                        "binary": {"hits": 0, "misses": 0, "hit_rate": 0.0},
+                    },
+                },
+                "wire_transport": {"mode": mode, "binary_connections": 1},
+            }
+
+        aggregate = _sum_stats([shard(1, 1, "auto"), shard(3, 1, "binary")])
+        ndjson = aggregate["wire"]["by_format"]["ndjson"]
+        assert (ndjson["hits"], ndjson["misses"]) == (4, 2)
+        assert ndjson["hit_rate"] == pytest.approx(4 / 6)
+        assert aggregate["wire"]["by_format"]["binary"]["hit_rate"] == 0.0
+        assert aggregate["wire"]["hits"] == 4
+        assert aggregate["wire_transport"] == {"binary_connections": 2}

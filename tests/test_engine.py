@@ -1,8 +1,8 @@
 """Tests for the batch solver engine (repro.engine).
 
 Covers: objective routing against the underlying dispatchers,
-fingerprint identity, LRU cache behavior (hit equivalence, eviction,
-counters), ``solve_many`` determinism — sequential == batched ==
+fingerprint identity, LRU cache behavior (hit equivalence, counters),
+``solve_many`` determinism — sequential == batched ==
 multiprocess — and the CLI batch/bench surfaces.
 """
 
@@ -17,18 +17,13 @@ from repro.analysis.verify import (
     verify_min_busy_schedule,
 )
 from repro.cli import main
-from repro.core.errors import InstanceError, ReproDeprecationWarning
+from repro.core.errors import InstanceError
 from repro.core.instance import BudgetInstance, Instance
 from repro.engine import (
     EngineResult,
     LRUCache,
-    cache_info,
-    clear_cache,
-    configure_cache,
     instance_fingerprint,
-    solve,
     solve_key,
-    solve_many,
 )
 from repro.io import save_instance
 from repro.minbusy import solve_min_busy
@@ -38,13 +33,6 @@ from repro.workloads import (
     random_one_sided_instance,
     random_proper_clique_instance,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 def _instances(k=6, n=25):
@@ -83,35 +71,35 @@ class TestFingerprint:
         b = Instance(jobs=(Job(0, 4), Job(1, 5)), g=2)
         assert instance_fingerprint(a) == instance_fingerprint(b)
 
-    def test_cache_hit_rebinds_to_query_jobs(self):
+    def test_cache_hit_rebinds_to_query_jobs(self, session):
         from repro.core.jobs import Job
 
         a = Instance(jobs=(Job(0, 4), Job(1, 5), Job(6, 9)), g=2)
         b = Instance(jobs=(Job(0, 4), Job(1, 5), Job(6, 9)), g=2)
-        fresh = solve(a)
-        hit = solve(b)
+        fresh = session.solve(a)
+        hit = session.solve(b)
         assert hit.from_cache
         assert hit.cost == fresh.cost
         # The served schedule is over b's own Job objects (ids and all).
         assert set(hit.schedule.assignment) == set(b.jobs)
         verify_min_busy_schedule(b, hit.schedule)
 
-    def test_cached_schedule_not_aliased(self):
+    def test_cached_schedule_not_aliased(self, session):
         inst = random_general_instance(15, 2, seed=11)
-        first = solve(inst)
-        second = solve(inst)
+        first = session.solve(inst)
+        second = session.solve(inst)
         assert second.schedule is not first.schedule
         second.schedule.assignment.clear()  # caller mutation...
-        third = solve(inst)
+        third = session.solve(inst)
         assert third.from_cache
         assert third.schedule.assignment  # ...cannot poison the cache
 
 
 class TestSolve:
-    def test_minbusy_matches_dispatcher(self):
+    def test_minbusy_matches_dispatcher(self, session):
         for seed in range(4):
             inst = random_general_instance(30, 3, seed=seed)
-            res = solve(inst)
+            res = session.solve(inst)
             ref = solve_min_busy(inst)
             assert res.objective == "minbusy"
             assert res.algorithm == ref.algorithm
@@ -137,70 +125,54 @@ class TestSolve:
             ),
         ],
     )
-    def test_throughput_routing(self, gen, expected):
+    def test_throughput_routing(self, gen, expected, session):
         inst = gen()
-        res = solve(inst, "maxthroughput", budget=40.0)
+        res = session.solve(inst, "maxthroughput", budget=40.0)
         assert res.objective == "maxthroughput"
         assert res.algorithm.startswith(expected)
         bi = inst.with_budget(40.0)
         verify_budget_schedule(bi, res.schedule)
 
-    def test_throughput_accepts_budget_instance(self):
+    def test_throughput_accepts_budget_instance(self, session):
         bi = random_general_instance(15, 2, seed=3).with_budget(70.0)
-        res = solve(bi, "throughput")
+        res = session.solve(bi, "throughput")
         assert res.throughput == res.schedule.throughput
 
-    def test_throughput_without_budget_raises(self):
+    def test_throughput_without_budget_raises(self, session):
         with pytest.raises(InstanceError):
-            solve(random_general_instance(5, 2, seed=0), "maxthroughput")
+            session.solve(
+                random_general_instance(5, 2, seed=0), "maxthroughput"
+            )
 
-    def test_unknown_objective_raises(self):
+    def test_unknown_objective_raises(self, session):
         with pytest.raises(InstanceError):
-            solve(random_general_instance(5, 2, seed=0), "makespan")
+            session.solve(random_general_instance(5, 2, seed=0), "makespan")
 
-    def test_minbusy_accepts_budget_instance(self):
+    def test_minbusy_accepts_budget_instance(self, session):
         bi = random_general_instance(15, 2, seed=3).with_budget(70.0)
-        res = solve(bi, "minbusy")
+        res = session.solve(bi, "minbusy")
         assert res.throughput == 15  # all jobs scheduled
 
 
 class TestCache:
-    def test_hit_equivalence(self):
+    def test_hit_equivalence(self, session):
         inst = random_general_instance(25, 3, seed=5)
-        fresh = solve(inst)
-        hit = solve(inst)
+        fresh = session.solve(inst)
+        hit = session.solve(inst)
         assert not fresh.from_cache and hit.from_cache
         assert hit.cost == fresh.cost
         assert hit.algorithm == fresh.algorithm
         assert hit.fingerprint == fresh.fingerprint
         assert hit.schedule.assignment == fresh.schedule.assignment
-        info = cache_info()
+        info = session.cache_info()
         assert info.hits == 1 and info.misses == 1 and info.size == 1
 
-    def test_use_cache_false_recomputes_but_refreshes(self):
+    def test_use_cache_false_recomputes_but_refreshes(self, session):
         inst = random_general_instance(25, 3, seed=5)
-        solve(inst)
-        res = solve(inst, use_cache=False)
+        session.solve(inst)
+        res = session.solve(inst, use_cache=False)
         assert not res.from_cache
-        assert solve(inst).from_cache
-
-    def test_configure_cache_evicts_lru(self):
-        # The module-global shim is deprecated (Session(EngineConfig(
-        # cache_size=...)) replaces it) but must keep delegating.
-        with pytest.warns(ReproDeprecationWarning):
-            configure_cache(2)
-        try:
-            insts = _instances(3)
-            for inst in insts:
-                solve(inst)
-            assert cache_info().size == 2
-            # Most recent two are hits; the first was evicted.
-            assert solve(insts[2]).from_cache is True
-            assert solve(insts[1]).from_cache is True
-            assert solve(insts[0]).from_cache is False
-        finally:
-            with pytest.warns(ReproDeprecationWarning):
-                configure_cache(1024)
+        assert session.solve(inst).from_cache
 
     def test_lru_cache_unit(self):
         c = LRUCache(maxsize=2)
@@ -217,43 +189,43 @@ class TestCache:
 
 
 class TestSolveMany:
-    def test_matches_sequential_solve(self):
+    def test_matches_sequential_solve(self, session):
         insts = _instances()
-        batch = solve_many(insts)
-        clear_cache()
-        seq = [solve(i) for i in insts]
+        batch = session.solve_many(insts)
+        session.clear_cache()
+        seq = [session.solve(i) for i in insts]
         assert [r.cost for r in batch] == [r.cost for r in seq]
         assert [r.algorithm for r in batch] == [r.algorithm for r in seq]
         assert [r.fingerprint for r in batch] == [r.fingerprint for r in seq]
 
-    def test_workers_deterministic(self):
+    def test_workers_deterministic(self, session):
         insts = _instances()
-        seq = solve_many(insts, use_cache=False)
-        clear_cache()
-        par = solve_many(insts, workers=2, use_cache=False)
+        seq = session.solve_many(insts, use_cache=False)
+        session.clear_cache()
+        par = session.solve_many(insts, workers=2, use_cache=False)
         assert [r.cost for r in par] == [r.cost for r in seq]
         assert [r.fingerprint for r in par] == [r.fingerprint for r in seq]
         assert [
             sorted(j.job_id for j in r.schedule.assignment) for r in par
         ] == [sorted(j.job_id for j in r.schedule.assignment) for r in seq]
 
-    def test_workers_populate_parent_cache(self):
+    def test_workers_populate_parent_cache(self, session):
         insts = _instances()
-        solve_many(insts, workers=2)
-        again = solve_many(insts, workers=2)
+        session.solve_many(insts, workers=2)
+        again = session.solve_many(insts, workers=2)
         assert all(r.from_cache for r in again)
 
-    def test_duplicate_instances_share_work(self):
+    def test_duplicate_instances_share_work(self, session):
         inst = random_general_instance(20, 3, seed=9)
         twin = random_general_instance(20, 3, seed=9)
-        results = solve_many([inst, twin, inst])
+        results = session.solve_many([inst, twin, inst])
         assert results[0].from_cache is False
         assert results[1].from_cache and results[2].from_cache
         assert len({r.cost for r in results}) == 1
 
-    def test_duplicates_deduped_on_worker_path(self):
+    def test_duplicates_deduped_on_worker_path(self, session):
         insts = _instances(3) + _instances(3)  # each instance twice
-        results = solve_many(insts, workers=2, use_cache=False)
+        results = session.solve_many(insts, workers=2, use_cache=False)
         # One solve per unique fingerprint; the second occurrence is
         # served from the representative's entry.
         for i in range(3):
@@ -266,14 +238,14 @@ class TestSolveMany:
             )
         assert len({r.fingerprint for r in results}) == 3
 
-    def test_throughput_batch_with_shared_budget(self):
+    def test_throughput_batch_with_shared_budget(self, session):
         insts = _instances(4, n=15)
-        results = solve_many(insts, "maxthroughput", budget=45.0)
+        results = session.solve_many(insts, "maxthroughput", budget=45.0)
         for inst, res in zip(insts, results):
             verify_budget_schedule(inst.with_budget(45.0), res.schedule)
 
-    def test_empty_batch(self):
-        assert solve_many([]) == []
+    def test_empty_batch(self, session):
+        assert session.solve_many([]) == []
 
 
 class TestCliBatchAndBench:

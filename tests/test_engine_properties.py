@@ -22,23 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.core.instance import BudgetInstance, Instance
 from repro.core.jobs import Job
-from repro.engine import (
-    LRUCache,
-    cache_info,
-    clear_cache,
-    instance_fingerprint,
-    solve,
-    solve_key,
-)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
+from repro.engine import LRUCache, instance_fingerprint, solve_key
 
 
 span = st.tuples(
@@ -121,12 +108,12 @@ class TestFingerprintInvariance:
 
 
 class TestCacheHitRebinding:
-    def test_hit_is_rebound_to_query_jobs(self):
+    def test_hit_is_rebound_to_query_jobs(self, session):
         spans = [(0.0, 4.0), (1.0, 5.0), (2.0, 8.0), (6.0, 9.0)]
         a = Instance(jobs=_jobs_from(spans, [0, 1, 2, 3]), g=2)
         b = Instance(jobs=_jobs_from(spans, [40, 41, 42, 43]), g=2)
-        first = solve(a)
-        hit = solve(b)
+        first = session.solve(a)
+        hit = session.solve(b)
         assert not first.from_cache
         assert hit.from_cache
         assert hit.fingerprint == first.fingerprint
@@ -139,31 +126,31 @@ class TestCacheHitRebinding:
         # Positionally, the assignment is the cached one.
         assert hit.assignment_by_position == first.assignment_by_position
 
-    def test_hit_schedule_is_a_fresh_object(self):
+    def test_hit_schedule_is_a_fresh_object(self, session):
         # Mutating a served schedule must not corrupt the cache entry.
         inst = Instance(
             jobs=_jobs_from([(0.0, 4.0), (1.0, 5.0)], [0, 1]), g=2
         )
-        first = solve(inst)
-        again = solve(inst)
+        first = session.solve(inst)
+        again = session.solve(inst)
         assert again.from_cache
         assert again.schedule is not first.schedule
 
     @given(spans_lists, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_property_relabeled_solves_hit_and_agree(self, spans, rnd):
-        clear_cache()
+        session = Session(store_path=None)
         a = Instance(jobs=_jobs_from(spans, range(len(spans))), g=2)
         ids = list(range(500, 500 + len(spans)))
         rnd.shuffle(ids)
         b = Instance(jobs=_jobs_from(spans, ids), g=2)
-        ra = solve(a)
-        rb = solve(b)
+        ra = session.solve(a)
+        rb = session.solve(b)
         assert rb.from_cache
         assert rb.cost == ra.cost
         assert rb.assignment_by_position == ra.assignment_by_position
         # Same positional machine for the same canonical position.
-        info = cache_info()
+        info = session.cache_info()
         assert info.hits >= 1
 
 

@@ -27,27 +27,16 @@ from repro.engine import (
     SolveTask,
     SolveTimeout,
     TieredCache,
-    clear_cache,
+    cached_result,
+    install_result,
     plan_solve,
-    reset_store_binding,
     resolve_executor,
-    solve,
-    solve_many,
 )
 from repro.engine import executors as executors_module
 from repro.service.protocol import result_to_doc
 from tests.helpers import ALL_FAMILIES, family_instance
 
 SEEDS = range(100)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    reset_store_binding()
-    yield
-    clear_cache()
-    reset_store_binding()
 
 
 def canonical(result) -> str:
@@ -71,19 +60,19 @@ def canonical(result) -> str:
 
 class TestBackendDifferential:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_backends_byte_identical(self, family):
+    def test_backends_byte_identical(self, family, session):
         pairs = [family_instance(family, seed) for seed in SEEDS]
         instances = [inst for inst, _params in pairs]
         params = pairs[0][1]
 
-        clear_cache()
-        serial = solve_many(instances, family, backend="serial", **params)
-        clear_cache()
-        process = solve_many(
+        session.clear_cache()
+        serial = session.solve_many(instances, family, backend="serial", **params)
+        session.clear_cache()
+        process = session.solve_many(
             instances, family, backend="process", workers=2, **params
         )
-        clear_cache()
-        asynchronous = solve_many(
+        session.clear_cache()
+        asynchronous = session.solve_many(
             instances, family, backend="async", workers=4, **params
         )
 
@@ -94,32 +83,32 @@ class TestBackendDifferential:
         # each ran cold, so the comparison really exercised the backend.
         assert not any(r.from_cache for r in serial + process + asynchronous)
 
-    def test_auto_matches_explicit_workers_contract(self):
+    def test_auto_matches_explicit_workers_contract(self, session):
         instances = [family_instance("minbusy", s)[0] for s in range(10)]
-        clear_cache()
-        auto_serial = solve_many(instances, "minbusy")
-        clear_cache()
-        auto_process = solve_many(instances, "minbusy", workers=2)
+        session.clear_cache()
+        auto_serial = session.solve_many(instances, "minbusy")
+        session.clear_cache()
+        auto_process = session.solve_many(instances, "minbusy", workers=2)
         assert [canonical(r) for r in auto_serial] == [
             canonical(r) for r in auto_process
         ]
 
-    def test_single_solve_backend_knob(self):
+    def test_single_solve_backend_knob(self, session):
         inst, _ = family_instance("minbusy", 3)
-        ref = canonical(solve(inst, "minbusy", use_cache=False))
+        ref = canonical(session.solve(inst, "minbusy", use_cache=False))
         for backend in ("serial", "process", "async"):
-            clear_cache()
+            session.clear_cache()
             assert (
                 canonical(
-                    solve(inst, "minbusy", use_cache=False, backend=backend)
+                    session.solve(inst, "minbusy", use_cache=False, backend=backend)
                 )
                 == ref
             )
 
-    def test_unknown_backend_raises(self):
+    def test_unknown_backend_raises(self, session):
         inst, _ = family_instance("minbusy", 0)
         with pytest.raises(ValueError, match="unknown backend"):
-            solve_many([inst], "minbusy", backend="bogus")
+            session.solve_many([inst], "minbusy", backend="bogus")
         with pytest.raises(ValueError, match="serial"):
             resolve_executor("threads")
 
@@ -141,7 +130,7 @@ class CountingExecutor(SerialExecutor):
 
 
 class TestInBatchDedup:
-    def test_duplicates_solved_once_cold(self):
+    def test_duplicates_solved_once_cold(self, session):
         """Content-identical instances in one batch reach the executor
         once; the shared result fans back out to every occurrence."""
         base, _ = family_instance("minbusy", 7)
@@ -151,7 +140,7 @@ class TestInBatchDedup:
         batch = [base, other, twin, base]
 
         counting = CountingExecutor()
-        results = solve_many(batch, "minbusy", executor=counting)
+        results = session.solve_many(batch, "minbusy", executor=counting)
 
         assert len(counting.tasks) == 2  # two unique fingerprints
         assert canonical(results[0]) == canonical(results[2])
@@ -161,22 +150,22 @@ class TestInBatchDedup:
         assert set(results[2].schedule.assignment) == set(twin.jobs)
         assert set(results[0].schedule.assignment) == set(base.jobs)
 
-    def test_duplicates_deduped_per_family_detail(self):
+    def test_duplicates_deduped_per_family_detail(self, session):
         inst, _ = family_instance("rect2d", 5)
         twin, _ = family_instance("rect2d", 5)
         counting = CountingExecutor()
-        results = solve_many([inst, twin], "rect2d", executor=counting)
+        results = session.solve_many([inst, twin], "rect2d", executor=counting)
         assert len(counting.tasks) == 1
         assert results[0].detail == results[1].detail
 
-    def test_dedup_composes_with_process_backend(self):
+    def test_dedup_composes_with_process_backend(self, session):
         inst, _ = family_instance("capacity", 2)
         twin, _ = family_instance("capacity", 2)
         others = [family_instance("capacity", s)[0] for s in range(3, 8)]
         batch = [inst] + others + [twin]
-        serial = solve_many(batch, "capacity", backend="serial")
-        clear_cache()
-        process = solve_many(
+        serial = session.solve_many(batch, "capacity", backend="serial")
+        session.clear_cache()
+        process = session.solve_many(
             batch, "capacity", backend="process", workers=2
         )
         assert [canonical(r) for r in serial] == [
@@ -382,15 +371,14 @@ class TestTieredCache:
         assert warm.from_cache
         assert canonical(warm) == canonical(cold)
 
-    def test_plan_lookup_install_primitives(self):
+    def test_plan_lookup_install_primitives(self, session):
         """The layered core the service runs: plan -> probe -> install."""
-        from repro.engine import cached_result, install_result
-
         inst, _ = family_instance("minbusy", 12)
         plan = plan_solve(inst, "minbusy")
-        assert cached_result(plan) is None
+        cache = session.cache()
+        assert cached_result(plan, cache) is None
         result = SerialExecutor().run([plan.task()])[0]
-        install_result(plan, result)
-        hit = cached_result(plan)
+        install_result(plan, result, cache)
+        hit = cached_result(plan, cache)
         assert hit is not None and hit.from_cache
         assert canonical(hit) == canonical(result)

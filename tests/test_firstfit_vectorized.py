@@ -260,6 +260,36 @@ def test_backend_validation():
         first_fit_machines([], 2, backend="gpu")
 
 
+#: Every FirstFit entry point that takes ``backend=``, on a small
+#: non-empty input so the call reaches backend resolution.
+BACKEND_ENTRY_POINTS = {
+    "first_fit_machines": lambda backend: first_fit_machines(
+        list(random_general_instance(5, 2, seed=0).jobs), 2, backend=backend
+    ),
+    "first_fit_2d": lambda backend: first_fit_2d(
+        random_rects(5, seed=0), 2, backend=backend
+    ),
+    "bucket_first_fit": lambda backend: bucket_first_fit(
+        random_rects(5, seed=0), 2, backend=backend
+    ),
+    "demand_first_fit": lambda backend: demand_first_fit(
+        random_demand_instance(5, 3, seed=0), backend=backend
+    ),
+    "ring_first_fit": lambda backend: ring_first_fit(
+        _ring_jobs(1), 2, backend=backend
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["compiled", "junk"])
+@pytest.mark.parametrize("entry", sorted(BACKEND_ENTRY_POINTS))
+def test_entry_points_reject_unknown_backends(entry, backend):
+    """Only auto/scalar/vectorized exist; anything else is refused by
+    ``resolve_backend`` before any placement runs."""
+    with pytest.raises(ValueError, match="backend must be one of"):
+        BACKEND_ENTRY_POINTS[entry](backend)
+
+
 # ----------------------------------------------------------------------
 # the equal-length tie-break regression (documented sort key)
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Differential tests: the registry front door vs direct family calls.
 
-For every registered family, ``engine.solve(objective=F)`` on 200
+For every registered family, ``Session.solve(objective=F)`` on 200
 seeded instances must return results byte-identical to the family's
 own entry point — same objective value (float-equal, since both run
 the same code path), same structure (machine groups / thread layouts /
@@ -21,14 +21,7 @@ from repro.core.instance import BudgetInstance, Instance
 from repro.core.jobs import Job
 from repro.core.registry import REGISTRY
 from repro.energy import EnergyInstance, PowerModel, schedule_energy
-from repro.engine import (
-    clear_cache,
-    fingerprint_v2,
-    instance_fingerprint,
-    objectives,
-    solve,
-    solve_many,
-)
+from repro.engine import fingerprint_v2, instance_fingerprint, objectives
 from repro.engine.dispatch import pick_throughput_solver
 from repro.engine.objectives import ensure_registered
 from repro.flexible import FlexInstance, FlexJob, align_first_fit
@@ -56,13 +49,6 @@ SEEDS = range(200)
 
 # Direct REGISTRY access below needs the family modules imported.
 ensure_registered()
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 def _ids(threads):
@@ -169,58 +155,60 @@ class TestUnsupportedInputs:
             "tree",
         ]
 
-    def test_unknown_objective_lists_registered(self):
+    def test_unknown_objective_lists_registered(self, session):
         inst = random_general_instance(5, 2, seed=0)
         with pytest.raises(InstanceError) as exc:
-            solve(inst, "makespan")
+            session.solve(inst, "makespan")
         msg = str(exc.value)
         for name in objectives():
             assert name in msg
 
-    def test_wrong_instance_type_is_instance_error(self):
+    def test_wrong_instance_type_is_instance_error(self, session):
         inst = random_general_instance(5, 2, seed=0)
         with pytest.raises(InstanceError, match="RectInstance"):
-            solve(inst, "rect2d")
+            session.solve(inst, "rect2d")
         with pytest.raises(InstanceError, match="Instance"):
-            solve(RectInstance(rects=(), g=2), "minbusy")
+            session.solve(RectInstance(rects=(), g=2), "minbusy")
 
-    def test_non_instance_is_instance_error(self):
+    def test_non_instance_is_instance_error(self, session):
         with pytest.raises(InstanceError):
-            solve(42, "minbusy")
+            session.solve(42, "minbusy")
         with pytest.raises(InstanceError):
-            solve(None, "capacity")
+            session.solve(None, "capacity")
 
-    def test_solve_many_same_contract(self):
+    def test_solve_many_same_contract(self, session):
         with pytest.raises(InstanceError):
-            solve_many([random_general_instance(5, 2, seed=0)], "makespan")
+            session.solve_many(
+                [random_general_instance(5, 2, seed=0)], "makespan"
+            )
         with pytest.raises(InstanceError):
-            solve_many([object()], "minbusy")
+            session.solve_many([object()], "minbusy")
 
-    def test_demand_above_g_is_instance_error(self):
+    def test_demand_above_g_is_instance_error(self, session):
         inst = Instance.from_spans([(0, 2)], g=2, demands=[3])
         with pytest.raises(InstanceError, match="demands 3 > g=2"):
-            solve(inst, "capacity")
+            session.solve(inst, "capacity")
 
-    def test_aliases_resolve(self):
+    def test_aliases_resolve(self, session):
         inst = random_general_instance(6, 2, seed=1)
-        assert solve(inst, "min_busy").objective == "minbusy"
+        assert session.solve(inst, "min_busy").objective == "minbusy"
         assert (
-            solve(inst, "throughput", budget=20.0).objective
+            session.solve(inst, "throughput", budget=20.0).objective
             == "maxthroughput"
         )
-        assert solve(inst, "demand").objective == "capacity"
+        assert session.solve(inst, "demand").objective == "capacity"
 
 
 # ----------------------------------------------------------------------
-# differential: engine.solve vs direct family entry points
+# differential: Session.solve vs direct family entry points
 # ----------------------------------------------------------------------
 
 
 class TestDifferentialMinBusy:
-    def test_200_seeds(self):
+    def test_200_seeds(self, session):
         for seed in SEEDS:
             inst = random_general_instance(12, 3, seed=seed)
-            res = solve(inst, "minbusy", use_cache=False)
+            res = session.solve(inst, "minbusy", use_cache=False)
             ref = solve_min_busy(inst)
             assert res.cost == ref.schedule.cost
             assert res.algorithm == ref.algorithm
@@ -229,12 +217,12 @@ class TestDifferentialMinBusy:
 
 
 class TestDifferentialMaxThroughput:
-    def test_200_seeds(self):
+    def test_200_seeds(self, session):
         for seed in SEEDS:
             inst = random_general_instance(12, 3, seed=seed).with_budget(
                 30.0 + seed % 17
             )
-            res = solve(inst, "maxthroughput", use_cache=False)
+            res = session.solve(inst, "maxthroughput", use_cache=False)
             name, solver, guarantee = pick_throughput_solver(inst)
             ref = solver(inst)
             assert res.algorithm == name
@@ -245,10 +233,10 @@ class TestDifferentialMaxThroughput:
 
 
 class TestDifferentialCapacity:
-    def test_200_seeds(self):
+    def test_200_seeds(self, session):
         for seed in SEEDS:
             inst = random_demand_instance(14, 4, seed=seed)
-            res = solve(inst, "capacity", use_cache=False)
+            res = session.solve(inst, "capacity", use_cache=False)
             if all(j.demand == 1 for j in inst.jobs):
                 ref_cost = solve_min_busy(inst).schedule.cost
                 assert res.cost == ref_cost
@@ -266,12 +254,12 @@ class TestDifferentialCapacity:
 
 
 class TestDifferentialRect2d:
-    def test_200_seeds(self):
+    def test_200_seeds(self, session):
         for seed in SEEDS:
             gamma1 = 2.0 if seed % 2 == 0 else 8.0  # both dispatch arms
             rects = tuple(random_rects(12, seed=seed, gamma1=gamma1))
             inst = RectInstance(rects=rects, g=3)
-            res = solve(inst, "rect2d", use_cache=False)
+            res = session.solve(inst, "rect2d", use_cache=False)
             if inst.gamma1 <= PAPER_BETA:
                 ref = first_fit_2d(inst.rects, inst.g)
                 assert res.algorithm == "first_fit_2d"
@@ -304,12 +292,12 @@ def _ring_jobs(n, seed, spread):
 
 
 class TestDifferentialRing:
-    def test_200_seeds(self):
+    def test_200_seeds(self, session):
         for seed in SEEDS:
             spread = (0.1, 0.3) if seed % 2 == 0 else (0.02, 0.45)
             jobs = _ring_jobs(12, seed, spread)
             inst = RingInstance(jobs=jobs, g=3)
-            res = solve(inst, "ring", use_cache=False)
+            res = session.solve(inst, "ring", use_cache=False)
             arc = [j.len1 for j in inst.jobs]
             if max(arc) / min(arc) <= PAPER_BETA:
                 ref = ring_first_fit(inst.jobs, inst.g)
@@ -328,7 +316,7 @@ class TestDifferentialRing:
 
 
 class TestDifferentialTree:
-    def test_200_seeds(self):
+    def test_200_seeds(self, session):
         for seed in SEEDS:
             rng = np.random.default_rng(seed)
             tree = Tree.random_tree(8, seed=seed)
@@ -339,7 +327,7 @@ class TestDifferentialTree:
                 if u != v
             )
             inst = TreeInstance(tree=tree, paths=paths, g=3)
-            res = solve(inst, "tree", use_cache=False)
+            res = session.solve(inst, "tree", use_cache=False)
             ref = tree_one_sided_greedy(tree, inst.paths, inst.g)
             assert res.cost == tree_schedule_cost(tree, ref)
             engine_sets = [
@@ -352,7 +340,7 @@ class TestDifferentialTree:
 
 
 class TestDifferentialFlexible:
-    def test_200_seeds_slack(self):
+    def test_200_seeds_slack(self, session):
         for seed in SEEDS:
             rng = np.random.default_rng(seed)
             jobs = tuple(
@@ -367,7 +355,7 @@ class TestDifferentialFlexible:
                 )
             )
             inst = FlexInstance(jobs=jobs, g=2)
-            res = solve(inst, "flexible", use_cache=False)
+            res = session.solve(inst, "flexible", use_cache=False)
             assert res.algorithm == "align_first_fit"
             ref = align_first_fit(inst.jobs, inst.g)
             assert res.cost == ref.cost
@@ -381,7 +369,7 @@ class TestDifferentialFlexible:
             }
             assert engine_placements == ref_placements
 
-    def test_tight_routes_through_reduction(self):
+    def test_tight_routes_through_reduction(self, session):
         for seed in range(50):
             rng = np.random.default_rng(seed)
             jobs = tuple(
@@ -396,7 +384,7 @@ class TestDifferentialFlexible:
                 )
             )
             inst = FlexInstance(jobs=jobs, g=2)
-            res = solve(inst, "flexible", use_cache=False)
+            res = session.solve(inst, "flexible", use_cache=False)
             assert res.algorithm.startswith("tight_reduction:")
             fixed = Instance.from_spans(
                 [(j.window_start, j.window_end) for j in inst.jobs],
@@ -408,22 +396,22 @@ class TestDifferentialFlexible:
 
 
 class TestDifferentialEnergy:
-    def test_200_seeds(self):
+    def test_200_seeds(self, session):
         model = PowerModel(busy_power=1.0, idle_power=0.4, wake_cost=2.5)
         for seed in SEEDS:
             base = random_general_instance(12, 3, seed=seed)
             inst = EnergyInstance(instance=base, model=model)
-            res = solve(inst, "energy", use_cache=False)
+            res = session.solve(inst, "energy", use_cache=False)
             ref = solve_min_busy(base)
             assert res.cost == schedule_energy(ref.schedule, model)
             assert res.detail["busy_cost"] == ref.schedule.cost
             assert res.algorithm == f"minbusy:{ref.algorithm}+gap_policy"
 
-    def test_power_param_equals_wrapped_instance(self):
+    def test_power_param_equals_wrapped_instance(self, session):
         base = random_general_instance(10, 2, seed=3)
         model = PowerModel(wake_cost=4.0)
-        a = solve(base, "energy", power=model, use_cache=False)
-        b = solve(
+        a = session.solve(base, "energy", power=model, use_cache=False)
+        b = session.solve(
             EnergyInstance(instance=base, model=model),
             "energy",
             use_cache=False,
@@ -438,53 +426,53 @@ class TestDifferentialEnergy:
 
 
 class TestRegistryBatch:
-    def test_solve_many_matches_solve_rect(self):
+    def test_solve_many_matches_solve_rect(self, session):
         insts = [
             RectInstance(rects=tuple(random_rects(10, seed=s)), g=3)
             for s in range(8)
         ]
-        batch = solve_many(insts, "rect2d")
-        clear_cache()
-        seq = [solve(i, "rect2d") for i in insts]
+        batch = session.solve_many(insts, "rect2d")
+        session.clear_cache()
+        seq = [session.solve(i, "rect2d") for i in insts]
         assert [r.cost for r in batch] == [r.cost for r in seq]
         assert [r.detail for r in batch] == [r.detail for r in seq]
 
-    def test_solve_many_workers_capacity(self):
+    def test_solve_many_workers_capacity(self, session):
         insts = [random_demand_instance(20, 4, seed=s) for s in range(6)]
-        seq = solve_many(insts, "capacity", use_cache=False)
-        clear_cache()
-        par = solve_many(insts, "capacity", workers=2, use_cache=False)
+        seq = session.solve_many(insts, "capacity", use_cache=False)
+        session.clear_cache()
+        par = session.solve_many(insts, "capacity", workers=2, use_cache=False)
         assert [r.cost for r in par] == [r.cost for r in seq]
         assert [r.fingerprint for r in par] == [r.fingerprint for r in seq]
 
-    def test_cache_hits_rebind_capacity_schedule(self):
+    def test_cache_hits_rebind_capacity_schedule(self, session):
         inst = random_demand_instance(15, 4, seed=2)
         twin = random_demand_instance(15, 4, seed=2)
-        fresh = solve(inst, "capacity")
-        hit = solve(twin, "capacity")
+        fresh = session.solve(inst, "capacity")
+        hit = session.solve(twin, "capacity")
         assert hit.from_cache
         assert hit.cost == fresh.cost
         assert set(hit.schedule.assignment) == set(twin.jobs)
 
-    def test_cached_detail_not_aliased(self):
+    def test_cached_detail_not_aliased(self, session):
         insts = tuple(random_rects(8, seed=1))
-        r1 = solve(RectInstance(rects=insts, g=2), "rect2d")
-        r2 = solve(RectInstance(rects=insts, g=2), "rect2d")
+        r1 = session.solve(RectInstance(rects=insts, g=2), "rect2d")
+        r2 = session.solve(RectInstance(rects=insts, g=2), "rect2d")
         assert r2.from_cache
         r2.detail["machines"] = "POISONED"  # caller mutation...
-        r3 = solve(RectInstance(rects=insts, g=2), "rect2d")
+        r3 = session.solve(RectInstance(rects=insts, g=2), "rect2d")
         assert r3.detail["machines"] == r1.detail["machines"]
 
-    def test_empty_instance_schedule_not_aliased(self):
+    def test_empty_instance_schedule_not_aliased(self, session):
         empty = Instance(jobs=(), g=2)
-        solve(empty)
-        hit = solve(empty)
+        session.solve(empty)
+        hit = session.solve(empty)
         assert hit.from_cache
         hit.schedule.assign(Job(0, 1), 0)  # caller mutation...
-        again = solve(empty)
+        again = session.solve(empty)
         assert again.schedule.assignment == {}
 
-    def test_cache_hits_flexible_detail(self):
+    def test_cache_hits_flexible_detail(self, session):
         rng = np.random.default_rng(0)
         jobs = tuple(
             FlexJob(
@@ -495,7 +483,7 @@ class TestRegistryBatch:
             )
             for i, s in enumerate(rng.uniform(0, 20, 6))
         )
-        fresh = solve(FlexInstance(jobs=jobs, g=2), "flexible")
+        fresh = session.solve(FlexInstance(jobs=jobs, g=2), "flexible")
         relabeled = tuple(
             FlexJob(
                 window_start=j.window_start,
@@ -505,7 +493,7 @@ class TestRegistryBatch:
             )
             for i, j in enumerate(jobs)
         )
-        hit = solve(FlexInstance(jobs=relabeled, g=2), "flexible")
+        hit = session.solve(FlexInstance(jobs=relabeled, g=2), "flexible")
         assert hit.from_cache
         assert hit.cost == fresh.cost
         assert hit.detail == fresh.detail

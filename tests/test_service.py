@@ -2,7 +2,7 @@
 
 The tier-2 acceptance scenario lives here: a live in-process server
 driven by 50 concurrent mixed-family client requests whose responses
-must be bit-equal to direct in-process ``engine.solve`` calls.  Around
+must be bit-equal to direct in-process ``Session.solve`` calls.  Around
 it, focused tests pin the protocol surface (streamed ``solve_many``
 order, cache stats, error responses for malformed input, per-request
 deadlines) and the client's error contract.
@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine import clear_cache, reset_store_binding, solve
+from repro.api import Session
 from repro.service import ServiceClient, ServiceError, SolveServer
 from repro.service.protocol import result_to_doc
 from tests.helpers import ALL_FAMILIES, family_instance, family_request
@@ -30,14 +30,6 @@ def server():
     handle.stop()
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_cache()
-    reset_store_binding()
-    yield
-    clear_cache()
-
-
 def client_for(server, timeout=30.0, wire=None) -> ServiceClient:
     return ServiceClient(port=server.port, timeout=timeout, wire=wire)
 
@@ -45,7 +37,9 @@ def client_for(server, timeout=30.0, wire=None) -> ServiceClient:
 def direct_doc(family: str, seed: int) -> dict:
     """The canonical result document of an in-process solve."""
     inst, params = family_instance(family, seed)
-    doc = result_to_doc(solve(inst, family, use_cache=False, **params))
+    with Session(store_path=None) as session:
+        result = session.solve(inst, family, **params)
+    doc = result_to_doc(result)
     doc.pop("from_cache")
     doc.pop("solve_seconds")
     return doc
@@ -111,8 +105,6 @@ class TestServiceOps:
         """A non-async batch backend must still bound how long a
         solve_many *request* waits (regression: the deadline was
         silently dropped on the serial/process path)."""
-        from repro.api import Session
-
         handle = SolveServer(
             port=0, backend="serial", session=Session(store_path=None)
         ).run_in_thread()

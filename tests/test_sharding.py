@@ -52,14 +52,14 @@ from repro.engine.health import (
     FleetHealth,
     ShardCircuit,
 )
-from repro.engine.partition import (
-    ModuloPartitioner,
-    Partitioner,
-    RingPartitioner,
-)
+from repro.engine.partition import Partitioner, RingPartitioner
 from repro.service.client import ServiceClient
 from repro.service.protocol import health_doc, result_to_doc
-from tests.helpers import family_instance, spawn_serve_subprocess
+from tests.helpers import (
+    ModuloPartitioner,
+    family_instance,
+    spawn_serve_subprocess,
+)
 
 #: The ring layout for three equal shards, pinned byte-for-byte: any
 #: change to vnode hashing/naming/sorting is a whole-fleet keyspace

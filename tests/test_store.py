@@ -22,14 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Session
 from repro.cli import main
-from repro.engine import (
-    clear_cache,
-    reset_store_binding,
-    solve,
-    solve_many,
-    store_stats,
-)
 from repro.engine.store import (
     _HEADER,
     _MAGIC,
@@ -41,13 +35,12 @@ from repro.io import save_instance
 from repro.workloads import random_general_instance
 
 
-@pytest.fixture(autouse=True)
-def _fresh_engine_state():
-    clear_cache()
-    reset_store_binding()
-    yield
-    clear_cache()
-    reset_store_binding()
+@pytest.fixture
+def session():
+    """A session on the default store binding, which follows
+    ``REPRO_CACHE_DIR``: tests attach the store by setting the env."""
+    with Session() as s:
+        yield s
 
 
 def _record(key: str, value, version: int = STORE_VERSION) -> bytes:
@@ -216,93 +209,103 @@ class TestConcurrentWriters:
 
 
 class TestEngineWiring:
-    def test_read_through_write_behind(self, tmp_path, monkeypatch):
+    def test_read_through_write_behind(
+        self, tmp_path, monkeypatch, session
+    ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         inst = random_general_instance(20, 3, seed=3)
-        fresh = solve(inst)
+        fresh = session.solve(inst)
         assert not fresh.from_cache
-        clear_cache()  # drop the LRU; the store must serve
-        hit = solve(inst)
+        session.clear_cache()  # drop the LRU; the store must serve
+        hit = session.solve(inst)
         assert hit.from_cache
         assert hit.cost == fresh.cost
         assert hit.algorithm == fresh.algorithm
         # The store-served schedule is re-inflated over this instance.
         assert hit.schedule is not None
         assert set(hit.schedule.assignment) == set(inst.jobs)
-        s = store_stats()
+        s = session.store_stats()
         assert s is not None and s.hits >= 1 and s.puts >= 1
 
-    def test_solve_many_folds_into_store(self, tmp_path, monkeypatch):
+    def test_solve_many_folds_into_store(
+        self, tmp_path, monkeypatch, session
+    ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         insts = [random_general_instance(15, 3, seed=s) for s in range(6)]
-        cold = solve_many(insts)
+        cold = session.solve_many(insts)
         assert not any(r.from_cache for r in cold)
-        clear_cache()
-        warm = solve_many(insts)
+        session.clear_cache()
+        warm = session.solve_many(insts)
         assert all(r.from_cache for r in warm)
         assert [r.cost for r in warm] == [r.cost for r in cold]
 
-    def test_use_cache_false_still_writes(self, tmp_path, monkeypatch):
+    def test_use_cache_false_still_writes(
+        self, tmp_path, monkeypatch, session
+    ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         inst = random_general_instance(12, 2, seed=9)
-        solve(inst, use_cache=False)
-        clear_cache()
-        assert solve(inst).from_cache
+        session.solve(inst, use_cache=False)
+        session.clear_cache()
+        assert session.solve(inst).from_cache
 
-    def test_store_disabled_without_binding(self):
+    def test_store_disabled_without_binding(self, session):
         inst = random_general_instance(12, 2, seed=10)
-        solve(inst)
-        assert store_stats() is None
+        session.solve(inst)
+        assert session.store_stats() is None
 
-    def test_env_binding(self, tmp_path, monkeypatch):
+    def test_env_binding(self, tmp_path, monkeypatch, session):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         inst = random_general_instance(14, 2, seed=11)
-        solve(inst)
-        clear_cache()
-        assert solve(inst).from_cache
+        session.solve(inst)
+        session.clear_cache()
+        assert session.solve(inst).from_cache
         monkeypatch.delenv("REPRO_CACHE_DIR")
-        assert store_stats() is None
+        assert session.store_stats() is None
 
     def test_empty_instance_store_hit_keeps_schedule(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, session
     ):
         from repro.core.instance import Instance
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         empty = Instance(jobs=(), g=2)
-        fresh = solve(empty)
+        fresh = session.solve(empty)
         assert fresh.schedule is not None
-        clear_cache()  # LRU gone; the stripped store record must serve
-        hit = solve(empty)
+        session.clear_cache()  # LRU gone; the stripped record must serve
+        hit = session.solve(empty)
         assert hit.from_cache
         assert hit.schedule is not None
         assert hit.schedule.assignment == {}
         assert hit.schedule.g == 2
 
-    def test_registry_objectives_share_store(self, tmp_path, monkeypatch):
+    def test_registry_objectives_share_store(
+        self, tmp_path, monkeypatch, session
+    ):
         from repro.workloads import random_demand_instance
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         inst = random_demand_instance(18, 4, seed=5)
-        fresh = solve(inst, "capacity")
-        clear_cache()
-        hit = solve(inst, "capacity")
+        fresh = session.solve(inst, "capacity")
+        session.clear_cache()
+        hit = session.solve(inst, "capacity")
         assert hit.from_cache and hit.cost == fresh.cost
         assert hit.detail == fresh.detail
 
 
 _CHILD_SOLVE = """
 import sys
-from repro.engine import solve
+from repro.api import Session
 from repro.workloads import random_general_instance
 inst = random_general_instance(int(sys.argv[1]), 3, seed=int(sys.argv[2]))
-print(repr(solve(inst).cost))
+print(repr(Session().solve(inst).cost))
 """
 
 
 class TestCrossProcess:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_subprocess_solve_parent_hit(self, tmp_path, monkeypatch, seed):
+    def test_subprocess_solve_parent_hit(
+        self, tmp_path, monkeypatch, seed, session
+    ):
         """Property: whatever a child process solves, the parent hits
         — with the identical cost — through the shared store."""
         env = dict(os.environ)
@@ -321,7 +324,7 @@ class TestCrossProcess:
         child_cost = eval(out.stdout.strip())
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         inst = random_general_instance(21, 3, seed=seed)
-        hit = solve(inst)
+        hit = session.solve(inst)
         assert hit.from_cache
         assert hit.cost == child_cost
 
@@ -337,7 +340,7 @@ class TestCrossProcess:
         first = json.loads(capsys.readouterr().out)
         assert first["cached"] is False
 
-        clear_cache()  # a second CLI process has an empty LRU
+        # Each CLI run builds its own session, so its LRU starts empty.
         assert main(["solve", str(inst_path), "--json"]) == 0
         second = json.loads(capsys.readouterr().out)
         assert second["cached"] is True

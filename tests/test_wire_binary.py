@@ -1,12 +1,11 @@
-"""Binary wire format: codec, negotiation, caps, shm path, compiled tier.
+"""Binary wire format: codec, negotiation, caps, shm path, interning.
 
 The binary protocol's contract is *transparency*: every document the
 NDJSON wire carries must round-trip the binary framing bit-exactly
 (``decode ∘ encode = id``), a binary-unaware peer must keep working
-against an upgraded server byte-identically, and every acceleration
-tier riding the same machinery — the shared-memory executor path, the
-numba-compiled occupancy kernels — must be bit-exact against its NumPy
-oracle.  These tests pin all of it:
+against an upgraded server byte-identically, and the shared-memory
+executor path riding the same machinery must be bit-exact against
+serial solves.  These tests pin all of it:
 
 * codec round-trips over every registry family's instance *and*
   result documents (schedules included: empty ones, and the tree
@@ -18,8 +17,7 @@ oracle.  These tests pin all of it:
 * a mixed one-binary-one-NDJSON fleet under ``ShardedClient``
   byte-identical to a local session;
 * the shared-memory executor byte-identical to serial solves;
-* the compiled backend's dispatch gating without numba, and the
-  1000-seed differential sweep against the NumPy engine with it.
+* column interning: pools, codec, negotiation, replay-cache lockstep.
 """
 
 from __future__ import annotations
@@ -593,92 +591,6 @@ class TestSharedMemoryExecutor:
         finally:
             segment.close()
             segment.unlink()
-
-
-# ----------------------------------------------------------------------
-# compiled occupancy tier
-# ----------------------------------------------------------------------
-
-from repro.core.compiled import HAVE_NUMBA  # noqa: E402
-from repro.core.occupancy import resolve_backend  # noqa: E402
-
-
-class TestCompiledTier:
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_explicit_compiled_without_numba_is_actionable(self):
-        from repro.minbusy.firstfit import first_fit_machines
-
-        inst, _ = family_instance("minbusy", 0)
-        with pytest.raises(ValueError, match="numba"):
-            first_fit_machines(list(inst.jobs), 2, backend="compiled")
-
-    def test_auto_never_picks_compiled_without_optin(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        assert resolve_backend("auto", 10**6) == "vectorized"
-
-    def test_optin_without_numba_stays_vectorized(self, monkeypatch):
-        if HAVE_NUMBA:
-            pytest.skip("numba installed")
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        assert resolve_backend("auto", 10**6) == "vectorized"
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_auto_picks_compiled_with_optin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        assert resolve_backend("auto", 10**6) == "compiled"
-        assert resolve_backend("auto", 1) == "scalar"
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestCompiledDifferential:
-    """The 1000-seed bit-exactness sweep (CI's numba matrix leg)."""
-
-    N = 1000
-
-    def test_interval_compiled_matches_vectorized(self):
-        from repro.minbusy.firstfit import first_fit_machines
-        from tests.test_firstfit_vectorized import (
-            _interval_instance,
-            canon_1d,
-        )
-
-        for seed in range(self.N):
-            inst = _interval_instance(seed)
-            jobs = list(inst.jobs)
-            assert canon_1d(
-                first_fit_machines(jobs, inst.g, backend="compiled")
-            ) == canon_1d(
-                first_fit_machines(jobs, inst.g, backend="vectorized")
-            ), f"interval compiled diverged at seed={seed}"
-
-    def test_rect_compiled_matches_vectorized(self):
-        from repro.rect.firstfit2d import first_fit_2d
-        from repro.workloads import random_rects
-        from tests.test_firstfit_vectorized import canon_sched
-
-        for seed in range(self.N):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(1, 40))
-            g = int(rng.integers(1, 5))
-            rects = random_rects(n, seed=seed)
-            assert canon_sched(
-                first_fit_2d(rects, g, backend="compiled")
-            ) == canon_sched(
-                first_fit_2d(rects, g, backend="vectorized")
-            ), f"rect compiled diverged at seed={seed}"
-
-    def test_ring_compiled_matches_vectorized(self):
-        from repro.topology.ring_firstfit import ring_first_fit
-        from tests.test_firstfit_vectorized import _ring_jobs, canon_sched
-
-        for seed in range(self.N):
-            g = 1 + seed % 5
-            jobs = _ring_jobs(seed)
-            assert canon_sched(
-                ring_first_fit(jobs, g, backend="compiled")
-            ) == canon_sched(
-                ring_first_fit(jobs, g, backend="vectorized")
-            ), f"ring compiled diverged at seed={seed}"
 
 
 # ----------------------------------------------------------------------
