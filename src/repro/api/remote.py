@@ -9,14 +9,20 @@ objects in, same :class:`~repro.engine.EngineResult`s out.
 
 Per call it runs the *local* half of the layered pipeline — registry
 dispatch through :func:`~repro.engine.engine.plan_solve` (type check,
-normalization, fingerprint) — serializes the normalized instance to
-the wire document shape (:func:`repro.io.objective_instance_to_dict`),
-and rebuilds the response document into an ``EngineResult`` whose
-schedule is re-expressed over the caller's own job objects.  The
-server computes the same content fingerprint from the rebuilt
-document; a mismatch (a serialization bug, or a server speaking a
-different fingerprint version) raises rather than silently caching
-under the wrong key.
+normalization, fingerprint) — turns the normalized instance into its
+wire document (:func:`repro.io.objective_instance_to_dict`), and
+rebuilds the response document into an ``EngineResult`` whose schedule
+is re-expressed over the caller's own job objects.
+
+The instance's fields are read once per call: the fingerprint and the
+wire document share the instance's cached job columns, and the binary
+codec packs those columns without building per-job records.  The
+result's schedule is positional (built on first read of its
+``assignment``), so a caller that only wants the cost never pays for
+the per-job rebind.  The server computes the same content fingerprint
+from the rebuilt document; a mismatch (a serialization bug, or a
+server speaking a different fingerprint version) raises rather than
+silently caching under the wrong key.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from .config import EngineConfig
 
 __all__ = ["RemoteSession", "result_from_doc"]
 
+#: Element types a positional assignment may hold as decoded.
+_POSITION_TYPES = {int, type(None)}
+
 
 def result_from_doc(doc: Dict[str, Any], plan: SolvePlan) -> EngineResult:
     """An :class:`EngineResult` rebuilt from one wire result document.
@@ -63,15 +72,22 @@ def result_from_doc(doc: Dict[str, Any], plan: SolvePlan) -> EngineResult:
             "changed the instance content or the server disagrees on "
             "the fingerprint scheme"
         )
-    by_position = tuple(
-        None if m is None else int(m)
-        for m in doc.get("assignment_by_position") or ()
-    )
+    raw = doc.get("assignment_by_position") or ()
+    if set(map(type, raw)) <= _POSITION_TYPES:
+        by_position = tuple(raw)
+    else:  # e.g. float positions from a foreign JSON encoder
+        by_position = tuple(None if m is None else int(m) for m in raw)
     schedule = None
     if by_position or doc.get("has_schedule"):
         # Rebuilt even when the assignment is empty: the presence bit
         # says this family carries a Schedule (e.g. an empty instance),
         # and a local Session would return one too.
+        n = len(plan.instance.jobs)
+        if by_position and len(by_position) != n:
+            raise RuntimeError(
+                f"remote result for {plan.spec.name} has "
+                f"{len(by_position)} positions for {n} jobs"
+            )
         schedule = _schedule_for(plan.instance, by_position)
     return EngineResult(
         objective=doc["objective"],

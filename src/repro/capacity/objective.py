@@ -56,15 +56,12 @@ def _normalize(instance: Any, params: Mapping[str, Any]) -> Instance:
 
 
 def _fingerprint(instance: Instance) -> str:
-    from ..engine.fingerprint import fingerprint_v2
+    from ..engine.fingerprint import fingerprint_v2, job_table
 
     return fingerprint_v2(
         "capacity",
         instance.g,
-        [
-            (j.start, j.end, j.weight, float(j.demand))
-            for j in instance.jobs
-        ],
+        job_table(instance),
     )
 
 

@@ -5,6 +5,9 @@
 Both validate their parameters and cache the structure predicates that
 drive the paper's case analysis (clique / proper / one-sided), so the
 dispatcher and the algorithms can assert their preconditions cheaply.
+They also cache their job table column-wise (:attr:`Instance.columns`),
+which the fingerprint and the wire document both read, so one solve
+walks the ``Job`` objects once.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .jobs import (
     is_clique_set,
     is_one_sided,
     is_proper_set,
+    job_columns,
     jobs_span,
     jobs_total_length,
     make_jobs,
@@ -28,6 +32,15 @@ from .jobs import (
 )
 
 __all__ = ["Instance", "BudgetInstance"]
+
+
+def _state_without_columns(instance: object) -> dict:
+    # Pickles and copies leave the cached job columns behind: they only
+    # re-read ``jobs``, and shipping them would add a reference per job
+    # field to every pickled instance.
+    state = dict(instance.__dict__)
+    state.pop("columns", None)
+    return state
 
 
 @dataclass(frozen=True)
@@ -62,6 +75,15 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.jobs)
+
+    @cached_property
+    def columns(self) -> Tuple[tuple, ...]:
+        """The job table column-wise, in canonical order
+        (:func:`~repro.core.jobs.job_columns`)."""
+        return job_columns(self.jobs)
+
+    def __getstate__(self) -> dict:
+        return _state_without_columns(self)
 
     @cached_property
     def total_length(self) -> float:
@@ -149,6 +171,14 @@ class BudgetInstance:
     @property
     def n(self) -> int:
         return len(self.jobs)
+
+    @cached_property
+    def columns(self) -> Tuple[tuple, ...]:
+        """The job table column-wise (see :attr:`Instance.columns`)."""
+        return job_columns(self.jobs)
+
+    def __getstate__(self) -> dict:
+        return _state_without_columns(self)
 
     @property
     def min_busy_instance(self) -> Instance:

@@ -36,6 +36,12 @@ class Schedule:
     ``assignment`` maps each *scheduled* job to a machine index; machine
     indices need not be contiguous.  ``g`` is the parallelism parameter
     the schedule claims to respect.
+
+    A schedule built by :meth:`from_positions` (every cache hit and
+    remote result) holds the jobs and their positional machines and
+    builds ``assignment`` on its first read; until then nothing hashes
+    a ``Job``.  It is the same class with the same dict either way, so
+    equality, ``repr`` and pickling match an eagerly built schedule.
     """
 
     g: int
@@ -44,6 +50,28 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.g < 1:
             raise InvalidScheduleError(f"capacity g must be >= 1, got {self.g}")
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails, i.e. for the
+        # ``assignment`` of a from_positions schedule not read yet.
+        if name == "assignment":
+            state = self.__dict__
+            pending = state.get("_positions")
+            if pending is not None:
+                jobs, by_position = pending
+                assignment = state.setdefault(
+                    "assignment",
+                    {j: m for j, m in zip(jobs, by_position) if m is not None},
+                )
+                state.pop("_positions", None)
+                return assignment
+            # Another thread may have built it (and dropped the
+            # positions) since this lookup missed.
+            if "assignment" in state:
+                return state["assignment"]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -55,6 +83,22 @@ class Schedule:
         for m, group in enumerate(groups):
             for job in group:
                 sched.assign(job, m)
+        return sched
+
+    @classmethod
+    def from_positions(
+        cls,
+        g: int,
+        jobs: Sequence[Job],
+        by_position: Sequence[Optional[int]],
+    ) -> "Schedule":
+        """``jobs[i]`` on machine ``by_position[i]`` (``None`` =
+        unscheduled), with ``assignment`` built lazily on first read
+        in position order — the dict an ``assign`` loop would build."""
+        sched = cls.__new__(cls)
+        sched.g = g
+        sched._positions = (jobs, by_position)
+        sched.__post_init__()
         return sched
 
     def assign(self, job: Job, machine: int) -> None:

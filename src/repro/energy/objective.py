@@ -53,15 +53,12 @@ def _normalize(instance: Any, params: Mapping[str, Any]) -> EnergyInstance:
 
 
 def _fingerprint(instance: EnergyInstance) -> str:
-    from ..engine.fingerprint import fingerprint_v2
+    from ..engine.fingerprint import fingerprint_v2, job_table
 
     return fingerprint_v2(
         "energy",
         instance.g,
-        [
-            (j.start, j.end, j.weight, float(j.demand))
-            for j in instance.jobs
-        ],
+        job_table(instance.instance),
         scalars={
             "busy_power": instance.model.busy_power,
             "idle_power": instance.model.idle_power,

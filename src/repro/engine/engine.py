@@ -22,7 +22,7 @@ from ..core.registry import REGISTRY, ObjectiveSpec, Solved
 from ..core.schedule import Schedule
 from .executors import SolveTask
 from .fingerprint import key_from_fingerprint
-from .tiers import TieredCache
+from .tiers import TieredCache, strip_for_store
 
 __all__ = [
     "MINBUSY",
@@ -51,7 +51,10 @@ class EngineResult:
     chosen algorithm (``None`` = exact or unanalysed heuristic).
     ``cost`` is the objective value (busy time, busy area, energy);
     ``schedule`` is set for families whose result is a 1-D
-    :class:`~repro.core.schedule.Schedule` and ``None`` otherwise.
+    :class:`~repro.core.schedule.Schedule` and ``None`` otherwise.  On
+    cache hits and remote results it is a positional schedule
+    (:meth:`~repro.core.schedule.Schedule.from_positions`) whose
+    ``assignment`` dict is built on first read.
     ``assignment_by_position`` records the machine of each job by its
     position in the instance's canonical order (``None`` = job left
     unscheduled); it is what lets a cached result be re-expressed over
@@ -95,20 +98,19 @@ def objectives() -> List[str]:
 def _schedule_for(
     instance: Any, by_position: Tuple[Optional[int], ...]
 ) -> Schedule:
-    """Re-express a positional assignment over this instance's jobs."""
-    schedule = Schedule(g=instance.g)
-    for i, machine in enumerate(by_position):
-        if machine is not None:
-            schedule.assign(instance.jobs[i], machine)
-    return schedule
+    """Re-express a positional assignment over this instance's jobs
+    (built on first read of ``assignment``: O(1) here)."""
+    return Schedule.from_positions(instance.g, instance.jobs, by_position)
 
 
 def serve_hit(hit: EngineResult, instance: Any) -> EngineResult:
     """A cache hit, rebound to the querying instance's own items.
 
     Sound because equal fingerprints imply identical per-position
-    content; rebuilding the Schedule (and copying ``detail``) also
+    content; a fresh Schedule per hit (and a copied ``detail``) also
     means callers never share — and so cannot mutate — cached state.
+    The Schedule builds its job -> machine dict only when first read,
+    so a hit whose caller never looks at it costs no per-job work.
     Store hits arrive with ``schedule=None`` (persisted results are
     stripped) and are re-inflated here from the positional encoding.
     """
@@ -142,22 +144,6 @@ def _solve_uncached(
         solve_seconds=elapsed,
         detail=solved.detail,
     )
-
-
-def strip_for_store(result: EngineResult) -> EngineResult:
-    """The persisted form: positional encodings only, no live objects.
-
-    An *empty* schedule is kept as-is: it references no Job objects,
-    and it is the only way a served hit can know the objective carries
-    a schedule when ``assignment_by_position`` is empty (empty
-    instance, or a budget too small to schedule anything) —
-    :func:`serve_hit` still rebuilds a fresh one, so nothing is
-    aliased.
-    """
-    schedule = result.schedule
-    if schedule is not None and schedule.assignment:
-        schedule = None
-    return replace(result, schedule=schedule, from_cache=False)
 
 
 # ----------------------------------------------------------------------

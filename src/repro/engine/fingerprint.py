@@ -6,7 +6,9 @@ collision-resistant key for "the same scheduling problem".  Python's
 is identified by object contents anyway, so the fingerprint is a SHA-256
 over a canonical byte serialization: the parallelism parameter, the
 budget (when present), and the packed per-job arrays (start, end,
-weight, demand) in the instance's canonical sorted order.
+weight, demand) in the instance's canonical sorted order — read from the
+instance's cached job columns (:func:`job_table`), the same single pass
+the wire document is built from.
 
 Job *ids* are deliberately excluded: they are bookkeeping labels (often
 auto-allocated from a process-global counter), not problem content, so
@@ -40,7 +42,7 @@ never collide.
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from ..core.instance import BudgetInstance, Instance
 
 __all__ = [
     "instance_fingerprint",
+    "job_table",
     "fingerprint_v2",
     "key_from_fingerprint",
     "solve_key",
@@ -66,11 +69,23 @@ def instance_fingerprint(instance: AnyInstance) -> str:
     budget = getattr(instance, "budget", None)
     h.update(f"|n={instance.n}|g={instance.g}|T={budget!r}|".encode())
     if instance.n:
-        packed = np.empty((instance.n, 4), dtype=np.float64)
-        for col, attr in enumerate(("start", "end", "weight", "demand")):
-            packed[:, col] = [getattr(j, attr) for j in instance.jobs]
-        h.update(packed.tobytes())
+        h.update(job_table(instance).tobytes())
     return h.hexdigest()
+
+
+def job_table(instance: AnyInstance) -> np.ndarray:
+    """The ``(n, 4)`` float64 content table ``(start, end, weight,
+    demand)`` in canonical order, built from the instance's cached
+    :attr:`~repro.core.instance.Instance.columns`.
+
+    These are the bytes the v1 fingerprint hashes, and the rows the
+    capacity/energy v2 fingerprints and the repair tier's MinBusy and
+    capacity kernels compare.
+    """
+    n = instance.n
+    return np.column_stack(
+        [np.fromiter(col, np.float64, n) for col in instance.columns[:4]]
+    )
 
 
 def fingerprint_v2(
@@ -97,9 +112,14 @@ def fingerprint_v2(
     if scalars:
         for key in sorted(scalars):
             h.update(f"{key}={scalars[key]!r}|".encode())
-    rows = [] if columns is None else list(columns)
+    if columns is None:
+        rows: Any = []
+    elif isinstance(columns, np.ndarray):
+        rows = columns
+    else:
+        rows = list(columns)
     h.update(f"n={len(rows)}|".encode())
-    if rows:
+    if len(rows):
         packed = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
         h.update(packed.tobytes())
     return h.hexdigest()

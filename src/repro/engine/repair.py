@@ -282,16 +282,13 @@ def minbusy_repair_spec() -> RepairSpec:
     from ..core.registry import Solved
     from ..minbusy.dispatch import route_min_busy
     from ..minbusy.firstfit import firstfit_sort_key
-    from .fingerprint import _VERSION as _FP_V1
+    from .fingerprint import _VERSION as _FP_V1, job_table
 
     def routes(instance: Any) -> bool:
         return route_min_busy(instance) == "first_fit"
 
     def rows(instance: Any) -> np.ndarray:
-        packed = np.empty((instance.n, 4), dtype=np.float64)
-        for col, attr in enumerate(("start", "end", "weight", "demand")):
-            packed[:, col] = [getattr(j, attr) for j in instance.jobs]
-        return packed
+        return job_table(instance)
 
     def scalars(instance: Any) -> Dict[str, Any]:
         return {}
@@ -463,7 +460,7 @@ def capacity_repair_spec() -> RepairSpec:
     from ..core.occupancy import DemandOccupancy
     from ..core.registry import Solved, schedule_by_position
     from ..core.schedule import Schedule
-    from .fingerprint import fingerprint_v2
+    from .fingerprint import fingerprint_v2, job_table
 
     def routes(instance: Any) -> bool:
         return instance.n > 0 and any(
@@ -471,10 +468,7 @@ def capacity_repair_spec() -> RepairSpec:
         )
 
     def rows(instance: Any) -> np.ndarray:
-        packed = np.empty((instance.n, 4), dtype=np.float64)
-        for col, attr in enumerate(("start", "end", "weight", "demand")):
-            packed[:, col] = [getattr(j, attr) for j in instance.jobs]
-        return packed
+        return job_table(instance)
 
     def scalars(instance: Any) -> Dict[str, Any]:
         return {}

@@ -15,8 +15,8 @@ composes an ordered stack of them —
 * a hit in a lower tier is *promoted* into every tier above it (the
   LRU warms from the store exactly as before),
 * writes go through every tier, each tier applying its own
-  ``prepare`` transform (the store tier strips live ``Schedule``
-  objects down to positional encodings; the LRU keeps results whole),
+  storage transform (both the LRU and the store strip live
+  ``Schedule`` objects down to positional encodings),
 * ``stats`` reports per-tier counters under the tier's name.
 
 The concrete tiers wrap the existing engines unchanged:
@@ -49,12 +49,21 @@ from typing import (
     runtime_checkable,
 )
 
+from dataclasses import replace
+
+from ..core.schedule import Schedule
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .cache import LRUCache
 from .store import ResultStore
 
-__all__ = ["CacheTier", "LRUTier", "StoreTier", "TieredCache"]
+__all__ = [
+    "CacheTier",
+    "LRUTier",
+    "StoreTier",
+    "TieredCache",
+    "strip_for_store",
+]
 
 # Registry handles are module-level and bound once: TieredCache stacks
 # are rebuilt per call (Session.cache()), so per-instance binding would
@@ -67,6 +76,32 @@ _TIER_REQUESTS = obs_metrics.counter(
     "Tiered-cache probes by tier and outcome",
     labels=("tier", "outcome"),
 )
+
+
+def strip_for_store(result: Any) -> Any:
+    """The cached form of an engine result: positional encodings
+    only, no live objects.
+
+    Both the store and the in-process LRU keep results in this form,
+    so a cached entry never pins the ``Job`` objects of the instance
+    that produced it;
+    :func:`~repro.engine.engine.serve_hit` rebuilds every served
+    schedule from ``assignment_by_position`` anyway.  A schedule that no
+    position can rebuild (empty instance, or a budget too small to
+    schedule anything) is kept as a fresh empty one: it is the only
+    way a served hit can know the objective carries a schedule —
+    the hit still gets a freshly rebuilt one, so nothing is
+    aliased.  The check reads the positions, never the schedule, so a
+    positional schedule stays unbuilt.
+    """
+    schedule = result.schedule
+    if schedule is not None:
+        by_position = result.assignment_by_position
+        if by_position.count(None) < len(by_position):
+            schedule = None
+        else:
+            schedule = Schedule(g=schedule.g)
+    return replace(result, schedule=schedule, from_cache=False)
 
 
 @runtime_checkable
@@ -95,7 +130,11 @@ class CacheTier(Protocol):
 
 
 class LRUTier:
-    """The in-process tier: a bounded LRU of whole results."""
+    """The in-process tier: a bounded LRU of stripped results.
+
+    Every value goes in through :func:`strip_for_store`, so a cached
+    entry does not keep the caller's jobs alive.
+    """
 
     name = "lru"
 
@@ -114,11 +153,11 @@ class LRUTier:
         return found
 
     def put(self, key: str, value: Any) -> None:
-        self.cache.put(key, value)
+        self.cache.put(key, strip_for_store(value))
 
     def put_many(self, items: Mapping[str, Any]) -> None:
         for key, value in items.items():
-            self.cache.put(key, value)
+            self.put(key, value)
 
     def stats(self) -> Dict[str, Any]:
         info = self.cache.info()

@@ -33,6 +33,12 @@ through :func:`load_objective_instance` (the CLI's ``repro solve
 ``minbusy``, ``maxthroughput``, ``capacity`` and ``energy`` all read
 the base job-list format above (capacity uses the per-job demands;
 energy takes its power model from CLI flags / call parameters).
+
+:func:`objective_instance_to_dict` (the wire document a remote solve
+sends) holds that job list column-wise, as a :class:`RecordColumns`
+built straight from the instance's cached job columns: the binary
+codec packs the columns as they are, and JSON encoders render them as
+the record list above through :func:`json_default`.
 """
 
 from __future__ import annotations
@@ -40,13 +46,15 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from .core.errors import InstanceError
 from .core.instance import BudgetInstance, Instance
-from .core.jobs import Job
+from .core.jobs import JOB_COLUMNS, Job
 
 __all__ = [
+    "RecordColumns",
+    "json_default",
     "instance_to_dict",
     "instance_from_dict",
     "save_instance",
@@ -64,6 +72,44 @@ __all__ = [
 ]
 
 AnyInstance = Union[Instance, BudgetInstance]
+
+
+class RecordColumns:
+    """A list of flat records sharing one key order, held column-wise.
+
+    ``keys[i]`` names ``columns[i]``; record ``r`` is
+    ``dict(zip(keys, (col[r] for col in columns)))``, and iterating
+    yields those dicts.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(
+        self, keys: Sequence[str], columns: Sequence[Sequence[Any]]
+    ) -> None:
+        self.keys = tuple(keys)
+        self.columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        keys = self.keys
+        return (dict(zip(keys, row)) for row in zip(*self.columns))
+
+    def records(self) -> List[Dict[str, Any]]:
+        """The record list this table stands for."""
+        return list(self)
+
+
+def json_default(value: Any) -> Any:
+    """``default=`` hook for ``json.dumps`` over wire documents: a
+    :class:`RecordColumns` encodes exactly as its record list."""
+    if isinstance(value, RecordColumns):
+        return value.records()
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
 
 
 def instance_to_dict(instance: AnyInstance) -> dict:
@@ -396,6 +442,11 @@ def objective_instance_to_dict(instance, objective: str) -> tuple:
     document where the wire format wants them there: the energy
     family's power model travels as ``params.power``; a MaxThroughput
     budget stays inside the instance document.
+
+    The base job-list families keep their job table column-wise
+    (:class:`RecordColumns` over the instance's cached columns, record
+    keys ``start, end, weight, demand, job_id``); every wire encoder
+    emits the same bytes it would for the record list.
     """
     serializer = _OBJECTIVE_SERIALIZERS.get(objective)
     if serializer is not None:
@@ -411,9 +462,12 @@ def objective_instance_to_dict(instance, objective: str) -> tuple:
                 "wake_cost": instance.model.wake_cost,
             }
             instance = instance.instance
-    doc = instance_to_dict(instance)
-    for job_doc, job in zip(doc["jobs"], instance.jobs):
-        job_doc["job_id"] = job.job_id
+    doc: Dict[str, Any] = {
+        "g": instance.g,
+        "jobs": RecordColumns(JOB_COLUMNS, instance.columns),
+    }
+    if isinstance(instance, BudgetInstance):
+        doc["budget"] = instance.budget
     return doc, params
 
 

@@ -32,6 +32,11 @@ wire tests assert over all families.  ``None`` entries in non-negative
 integer columns (unscheduled positions in ``assignment_by_position``)
 ride as a ``-1`` sentinel in an ``int64`` column.
 
+A job table already held column-wise (:class:`~repro.io.RecordColumns`,
+what a remote solve's instance document carries) goes through the same
+column packer without ever becoming records, and its frame is
+byte-identical to the one its record list would give.
+
 Capability negotiation (the ``hello`` op) rides NDJSON so a
 binary-unaware peer can always parse it: the client's first line is
 ``{"op": "hello", "wire": "binary", "version": 1}``; a binary-capable
@@ -49,11 +54,12 @@ import json
 import operator
 import os
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.errors import InstanceError
+from ..io import RecordColumns, json_default
 
 __all__ = [
     "MAGIC",
@@ -345,7 +351,7 @@ _NONE_TYPE = type(None)
 _OI_KINDS = ({int, _NONE_TYPE}, {_NONE_TYPE})
 
 
-def _column_kind(values: List[Any]) -> Optional[str]:
+def _column_kind(values: Sequence[Any]) -> Optional[str]:
     """``"i"``/``"f"``/``"oi"`` when a column can ride a raw buffer.
 
     Exact round-trip rules: every value the same scalar type (so ints
@@ -368,7 +374,7 @@ def _column_kind(values: List[Any]) -> Optional[str]:
 
 
 def _column_blob(
-    kind: str, values: List[Any], blobs: List[Tuple[int, bytes]]
+    kind: str, values: Sequence[Any], blobs: List[Tuple[int, bytes]]
 ) -> Optional[List[Any]]:
     """Append one column buffer; returns its ``[kind, index]`` ref.
 
@@ -376,14 +382,14 @@ def _column_blob(
     """
     try:
         if kind == "f":
-            data = np.asarray(values, dtype="<f8").tobytes()
+            data = np.fromiter(values, "<f8", len(values)).tobytes()
             code = _CODE_F64
         elif kind == "i":
-            data = np.asarray(values, dtype="<i8").tobytes()
+            data = np.fromiter(values, "<i8", len(values)).tobytes()
             code = _CODE_I64
         else:  # "oi": non-negative ints or None; -1 is the sentinel
-            data = np.asarray(
-                [-1 if v is None else v for v in values], dtype="<i8"
+            data = np.fromiter(
+                [-1 if v is None else v for v in values], "<i8", len(values)
             ).tobytes()
             code = _CODE_I64
     except OverflowError:
@@ -392,14 +398,41 @@ def _column_blob(
     return [kind, len(blobs) - 1]
 
 
+def _pack_columns(
+    keys: Tuple[str, ...],
+    columns: Sequence[Sequence[Any]],
+    n: int,
+    blobs: List[Tuple[int, bytes]],
+) -> Optional[Dict[str, Any]]:
+    """Named columns of ``n`` records -> one ``"recs"`` control entry.
+
+    Non-columnable values stay as inline JSON columns, so irregular
+    records merely lose the fast path, never correctness; ``None``
+    (keep the records inline) when no column packs at all.
+    """
+    cols: Dict[str, Any] = {}
+    packed_any = False
+    for key, col in zip(keys, columns):
+        kind = _column_kind(col)
+        ref = _column_blob(kind, col, blobs) if kind is not None else None
+        if ref is None:
+            cols[key] = ["j", col]
+        else:
+            cols[key] = ref
+            packed_any = True
+    if not packed_any:
+        return None
+    return {"__b__": ["recs", n, cols]}
+
+
 def _pack_records(
     value: List[Any], blobs: List[Tuple[int, bytes]]
 ) -> Optional[Dict[str, Any]]:
     """Uniform flat dicts (job/rect records) -> per-key columns.
 
     Only the key *set* must agree across records (values are extracted
-    by name); non-columnable values stay as inline JSON columns, so
-    irregular records merely lose the fast path, never correctness.
+    by name), then the columns go through :func:`_pack_columns`, the
+    one packer a :class:`~repro.io.RecordColumns` table uses directly.
     """
     first = value[0]
     keys = tuple(first)
@@ -411,29 +444,11 @@ def _pack_records(
     n_keys = len(keys)
     if not all(map(n_keys.__eq__, map(len, value))):
         return None
-    blob_start = len(blobs)
-    cols: Dict[str, Any] = {}
-    packed_any = False
     try:
-        for key in keys:
-            col = [*map(operator.itemgetter(key), value)]
-            kind = _column_kind(col)
-            ref = (
-                _column_blob(kind, col, blobs)
-                if kind is not None
-                else None
-            )
-            if ref is None:
-                cols[key] = ["j", col]
-            else:
-                cols[key] = ref
-                packed_any = True
+        columns = [[*map(operator.itemgetter(key), value)] for key in keys]
     except (KeyError, TypeError, IndexError):
-        del blobs[blob_start:]  # drop this list's half-built columns
         return None
-    if not packed_any:
-        return None
-    return {"__b__": ["recs", len(value), cols]}
+    return _pack_columns(keys, columns, len(value), blobs)
 
 
 def _pack_rows(
@@ -477,6 +492,13 @@ def _pack_list(
 
 
 def _pack(value: Any, blobs: List[Tuple[int, bytes]]) -> Any:
+    if isinstance(value, RecordColumns):
+        # Exactly what the record list it stands for packs to.
+        if len(value) >= _MIN_PACK:
+            ref = _pack_columns(value.keys, value.columns, len(value), blobs)
+            if ref is not None:
+                return ref
+        return [_pack(v, blobs) for v in value]
     if isinstance(value, dict):
         packed = {k: _pack(v, blobs) for k, v in value.items()}
         if "__b__" in value or "__e__" in value:
@@ -587,7 +609,9 @@ def parse_header(header: bytes) -> Tuple[int, int, int]:
 def encode_binary(doc: Dict[str, Any], opcode: int = OP_DOC) -> bytes:
     """One document as a framed binary message (header included)."""
     blobs: List[Tuple[int, bytes]] = []
-    ctrl = json.dumps(_pack(doc, blobs), separators=(",", ":")).encode()
+    ctrl = json.dumps(
+        _pack(doc, blobs), separators=(",", ":"), default=json_default
+    ).encode()
     parts = [_U32.pack(len(ctrl)), ctrl, _U32.pack(len(blobs))]
     for code, data in blobs:
         parts.append(_BLOB_HEADER.pack(code, len(data)))

@@ -53,6 +53,7 @@ import json
 from typing import Any, Dict, Mapping, Optional
 
 from ..core.errors import InstanceError
+from ..io import json_default
 from .binary import (  # noqa: F401  (protocol's public binary surface)
     MAX_FRAME_BYTES,
     WIRE_MODES,
@@ -87,8 +88,12 @@ MAX_LINE_BYTES = 64 << 20
 
 
 def encode(doc: Mapping[str, Any]) -> bytes:
-    """One protocol line: compact JSON + newline."""
-    return json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+    """One protocol line: compact JSON + newline (a column-wise job
+    table is written out as its record list)."""
+    return (
+        json.dumps(doc, separators=(",", ":"), default=json_default).encode()
+        + b"\n"
+    )
 
 
 def decode(line: bytes) -> Dict[str, Any]:

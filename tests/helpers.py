@@ -14,6 +14,10 @@ wire-format ``(instance document, params)`` pair the service speaks.
 
 :class:`ModuloPartitioner` is the CRC32-modulo sharding rule the
 consistent-hash ring is measured against.
+
+:func:`records_instance_to_dict` is the list-of-dicts form of
+:func:`repro.io.objective_instance_to_dict`, the reference the
+column-wise wire documents must encode byte-identically to.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "family_request",
     "spawn_serve_subprocess",
     "ModuloPartitioner",
+    "records_instance_to_dict",
 ]
 
 
@@ -303,3 +308,41 @@ def family_instance(family: str, seed: int) -> Tuple[Any, Dict[str, Any]]:
         objective_instance_from_dict(doc, family),
         params_from_doc(family, params),
     )
+
+
+def records_instance_to_dict(instance: Any, objective: str) -> tuple:
+    """``objective_instance_to_dict`` with the base job-list families'
+    job table as a plain list of ``{start, end, weight, demand,
+    job_id}`` dicts, read job by job."""
+    from repro.core.instance import BudgetInstance
+    from repro.io import objective_instance_to_dict
+
+    if objective not in ("minbusy", "maxthroughput", "capacity", "energy"):
+        return objective_instance_to_dict(instance, objective)
+    params: Dict[str, Any] = {}
+    if objective == "energy":
+        from repro.energy.instance import EnergyInstance
+
+        if isinstance(instance, EnergyInstance):
+            params["power"] = {
+                "busy_power": instance.model.busy_power,
+                "idle_power": instance.model.idle_power,
+                "wake_cost": instance.model.wake_cost,
+            }
+            instance = instance.instance
+    doc: Dict[str, Any] = {
+        "g": instance.g,
+        "jobs": [
+            {
+                "start": j.start,
+                "end": j.end,
+                "weight": j.weight,
+                "demand": j.demand,
+                "job_id": j.job_id,
+            }
+            for j in instance.jobs
+        ],
+    }
+    if isinstance(instance, BudgetInstance):
+        doc["budget"] = instance.budget
+    return doc, params

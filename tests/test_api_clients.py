@@ -174,6 +174,76 @@ class TestSolverClientConformance:
             client.solve(family_instance("minbusy", 0)[0])
 
 
+class TestResultFromDoc:
+    """``result_from_doc`` rebuilds a local result from its wire
+    document; no server needed."""
+
+    @staticmethod
+    def _doc_and_plan(objective, inst):
+        from repro.engine import plan_solve
+
+        with Session(store_path=None) as local:
+            result = local.solve(inst, objective)
+        doc = json.loads(json.dumps(result_to_doc(result)))
+        return doc, plan_solve(inst, objective), result
+
+    @pytest.mark.parametrize(
+        "objective, budget", [("minbusy", None), ("maxthroughput", 12.0)]
+    )
+    def test_float_positions_decode_as_ints(self, objective, budget):
+        """A foreign JSON encoder may write positions as ``2.0``; they
+        convert exactly as the per-element path always did."""
+        from repro.api import result_from_doc
+        from repro.workloads import random_general_instance
+
+        inst = random_general_instance(30, 2, seed=9)
+        if budget is not None:
+            inst = inst.with_budget(budget)
+        doc, plan, local = self._doc_and_plan(objective, inst)
+        floats = dict(doc)
+        floats["assignment_by_position"] = [
+            None if m is None else float(m)
+            for m in doc["assignment_by_position"]
+        ]
+        assert any(type(m) is float for m in floats["assignment_by_position"])
+        from_ints = result_from_doc(doc, plan)
+        from_floats = result_from_doc(floats, plan)
+        for res in (from_ints, from_floats):
+            assert res.assignment_by_position == local.assignment_by_position
+            assert all(
+                m is None or type(m) is int
+                for m in res.assignment_by_position
+            )
+            assert res.schedule == local.schedule
+        assert result_to_doc(from_floats) == result_to_doc(from_ints)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_position_count_must_match_the_jobs(self, delta):
+        from repro.api import result_from_doc
+        from repro.workloads import random_general_instance
+
+        inst = random_general_instance(30, 3, seed=11)
+        doc, plan, _ = self._doc_and_plan("minbusy", inst)
+        positions = doc["assignment_by_position"]
+        doc["assignment_by_position"] = (
+            positions + [0] if delta > 0 else positions[:-1]
+        )
+        with pytest.raises(RuntimeError, match="positions for 30 jobs"):
+            result_from_doc(doc, plan)
+
+    def test_schedule_is_built_on_first_read(self):
+        from repro.api import result_from_doc
+        from repro.core.schedule import Schedule
+        from repro.workloads import random_general_instance
+
+        inst = random_general_instance(30, 3, seed=10)
+        doc, plan, local = self._doc_and_plan("minbusy", inst)
+        res = result_from_doc(doc, plan)
+        assert type(res.schedule) is Schedule
+        assert "assignment" not in vars(res.schedule)
+        assert res.schedule == local.schedule
+
+
 class TestRemoteSpecifics:
     def test_streaming_is_lazy_and_ordered(self, live_server):
         instances = [family_instance("minbusy", s)[0] for s in range(5)]

@@ -2,6 +2,7 @@
 
 Covers: objective routing against the underlying dispatchers,
 fingerprint identity, LRU cache behavior (hit equivalence, counters),
+the positional (lazily built) schedules cache hits carry,
 ``solve_many`` determinism — sequential == batched ==
 multiprocess — and the CLI batch/bench surfaces.
 """
@@ -70,6 +71,17 @@ class TestFingerprint:
         a = Instance(jobs=(Job(0, 4), Job(1, 5)), g=2)
         b = Instance(jobs=(Job(0, 4), Job(1, 5)), g=2)
         assert instance_fingerprint(a) == instance_fingerprint(b)
+
+    def test_cached_columns_stay_out_of_pickles(self):
+        import pickle
+
+        inst = random_general_instance(40, 3, seed=2).with_budget(30.0)
+        before = pickle.dumps(inst)
+        fingerprint = instance_fingerprint(inst)  # caches inst.columns
+        assert "columns" in vars(inst)
+        assert pickle.dumps(inst) == before
+        back = pickle.loads(before)
+        assert back == inst and instance_fingerprint(back) == fingerprint
 
     def test_cache_hit_rebinds_to_query_jobs(self, session):
         from repro.core.jobs import Job
@@ -186,6 +198,167 @@ class TestCache:
         assert info.hits == 3 and info.misses == 1
         with pytest.raises(ValueError):
             LRUCache(maxsize=0)
+
+
+def _eager_schedule(instance, by_position):
+    """The schedule an ``assign`` loop builds from positions."""
+    from repro.core.schedule import Schedule
+
+    schedule = Schedule(g=instance.g)
+    for i, machine in enumerate(by_position):
+        if machine is not None:
+            schedule.assign(instance.jobs[i], machine)
+    return schedule
+
+
+def _materialized(schedule) -> bool:
+    return "assignment" in vars(schedule)
+
+
+class TestLazyRebind:
+    """Cache hits carry positional schedules that build their
+    job -> machine dict on first read, indistinguishable from eager
+    ones once read."""
+
+    @staticmethod
+    def _hit(session, inst, objective="minbusy"):
+        session.solve(inst, objective)
+        hit = session.solve(inst, objective)
+        assert hit.from_cache
+        return hit
+
+    def test_same_class_equality_order_and_repr(self, session):
+        from repro.core.schedule import Schedule
+
+        inst = random_general_instance(30, 3, seed=21)
+        hit = self._hit(session, inst)
+        assert type(hit.schedule) is Schedule
+        assert not _materialized(hit.schedule)
+        eager = _eager_schedule(inst, hit.assignment_by_position)
+        assert hit.schedule == eager
+        assert list(hit.schedule.assignment.items()) == list(
+            eager.assignment.items()
+        )
+        assert repr(hit.schedule) == repr(eager)
+        assert hit.schedule.cost == eager.cost
+
+    def test_partial_assignment_skips_unscheduled(self, session):
+        inst = random_general_instance(30, 2, seed=3).with_budget(12.0)
+        hit = self._hit(session, inst, "maxthroughput")
+        by_position = hit.assignment_by_position
+        assert None in by_position
+        assert hit.schedule == _eager_schedule(inst, by_position)
+        assert hit.schedule.throughput == hit.throughput
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_round_trip(self, session, read_first):
+        import pickle
+
+        inst = random_general_instance(30, 3, seed=22)
+        hit = self._hit(session, inst)
+        eager = _eager_schedule(inst, hit.assignment_by_position)
+        if read_first:
+            hit.schedule.assignment
+        assert _materialized(hit.schedule) is read_first
+        back = pickle.loads(pickle.dumps(hit.schedule))
+        assert back == eager
+        assert list(back.assignment.items()) == list(eager.assignment.items())
+        assert pickle.loads(pickle.dumps(hit)).schedule == eager
+
+    def test_first_read_from_two_threads(self, session):
+        import threading
+
+        from repro.core.schedule import Schedule
+
+        inst = random_general_instance(2000, 3, seed=27)
+        hit = self._hit(session, inst)
+        eager = _eager_schedule(inst, hit.assignment_by_position)
+        barrier = threading.Barrier(2)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append(hit.schedule.assignment)
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0] == eager.assignment
+        # The losing thread's view: its plain lookup missed, then the
+        # other thread built the dict and dropped the positions.
+        assert Schedule.__getattr__(hit.schedule, "assignment") is seen[0]
+        with pytest.raises(AttributeError):
+            Schedule.__getattr__(hit.schedule, "missing")
+
+    def test_assign_on_a_hit_leaks_nowhere(self, session):
+        from repro.engine import plan_solve
+
+        inst = random_general_instance(30, 3, seed=23)
+        first = self._hit(session, inst)
+        key = plan_solve(inst).key
+        stored = session.cache().get(key)
+        assert stored.schedule is None  # kept positional only
+        job = inst.jobs[0]
+        first.schedule.assign(job, 999)
+        second = session.solve(inst)
+        assert second.schedule.assignment[job] != 999
+        assert session.cache().get(key) == stored
+        assert stored.assignment_by_position == first.assignment_by_position
+
+    def test_stripped_empty_schedule_holds_no_jobs(self):
+        from repro.core.schedule import Schedule
+        from repro.engine import strip_for_store
+
+        inst = random_general_instance(10, 2, seed=1)
+        unscheduled = (None,) * inst.n
+        result = EngineResult(
+            objective="maxthroughput",
+            algorithm="greedy",
+            guarantee=None,
+            cost=0.0,
+            throughput=0,
+            schedule=Schedule.from_positions(2, inst.jobs, unscheduled),
+            fingerprint="f",
+            assignment_by_position=unscheduled,
+        )
+        stripped = strip_for_store(result).schedule
+        assert vars(stripped) == {"g": 2, "assignment": {}}
+        assert "_positions" in vars(result.schedule)  # left unbuilt
+
+    def test_cached_entries_do_not_pin_jobs(self, session):
+        import gc
+        import weakref
+
+        inst = random_general_instance(30, 3, seed=26)
+        result = session.solve(inst)
+        job = weakref.ref(inst.jobs[0])
+        del inst, result
+        gc.collect()
+        assert job() is None
+
+    def test_result_doc_leaves_the_schedule_unbuilt(self, session):
+        from repro.service.protocol import result_to_doc
+
+        inst = random_general_instance(30, 3, seed=24)
+        hit = self._hit(session, inst)
+        doc = result_to_doc(hit)
+        assert doc["has_schedule"] is True
+        assert not _materialized(hit.schedule)
+
+    def test_store_hit(self, tmp_path):
+        from repro.api import Session
+
+        inst = random_general_instance(30, 3, seed=25)
+        with Session(store_path=tmp_path / "store") as writer:
+            fresh = writer.solve(inst)
+        with Session(store_path=tmp_path / "store") as reader:
+            hit = reader.solve(inst)
+        assert hit.from_cache
+        assert not _materialized(hit.schedule)
+        assert hit.schedule == fresh.schedule
 
 
 class TestSolveMany:

@@ -10,6 +10,8 @@ serial solves.  These tests pin all of it:
 * codec round-trips over every registry family's instance *and*
   result documents (schedules included: empty ones, and the tree
   family's ``[u, v, id]`` path triples);
+* column-wise instance documents encoding byte-identically to their
+  list-of-dicts form on both wires, interned frames included;
 * hello negotiation — upgrade, decline, forced-binary failure, and
   the wire counters the server reports;
 * frame/line caps and deterministic frame corruptions (the unit-level
@@ -31,6 +33,8 @@ import pytest
 
 from repro.api import RemoteSession, Session, ShardedClient
 from repro.core.instance import Instance
+from repro.engine import instance_fingerprint, plan_solve
+from repro.io import RecordColumns, objective_instance_to_dict
 from repro.service import ServiceClient, SolveServer
 from repro.service.binary import (
     HEADER_BYTES,
@@ -47,6 +51,7 @@ from tests.helpers import (
     ALL_FAMILIES,
     family_instance,
     family_request,
+    records_instance_to_dict,
     spawn_serve_subprocess,
 )
 
@@ -118,6 +123,169 @@ class TestCodecRoundTrip:
         ]
         for doc in docs:
             assert decode_binary(encode_binary(doc)) == doc
+
+
+# ----------------------------------------------------------------------
+# column-wise instance documents: same bytes as the record lists
+# ----------------------------------------------------------------------
+
+
+def _edge_instances():
+    """``(name, objective, instance)`` for the shapes a column packer
+    can get wrong: sizes around the pack threshold, Python number
+    types the wire must keep, and ids beyond int64."""
+    from repro.core.instance import BudgetInstance
+    from repro.core.jobs import Job
+    from repro.workloads import random_general_instance
+
+    def jobs(n, start=lambda i: float(i), job_id=lambda i: i):
+        return tuple(
+            Job(start=start(i), end=start(i) + 2.5, job_id=job_id(i))
+            for i in range(n)
+        )
+
+    return [
+        ("n10k", "minbusy", random_general_instance(10_000, 3, seed=4)),
+        ("n5", "minbusy", Instance(jobs=jobs(5), g=2)),
+        ("empty", "minbusy", Instance(jobs=(), g=2)),
+        ("int-starts", "minbusy", Instance(jobs=jobs(12, start=int), g=2)),
+        (
+            "mixed-int-float",
+            "minbusy",
+            Instance(
+                jobs=jobs(12, start=lambda i: i if i % 2 else i + 0.5), g=2
+            ),
+        ),
+        (
+            "budget",
+            "maxthroughput",
+            BudgetInstance(jobs=jobs(20), g=2, budget=9.0),
+        ),
+        (
+            "huge-ids",
+            "minbusy",
+            Instance(jobs=jobs(12, job_id=lambda i: 2**63 + i), g=2),
+        ),
+    ]
+
+
+EDGE_CASES = _edge_instances()
+
+
+def _with_records(pair):
+    """``(document, params)`` with a column-wise job table expanded
+    into its record list."""
+    doc, params = pair
+    if isinstance(doc.get("jobs"), RecordColumns):
+        doc = {**doc, "jobs": doc["jobs"].records()}
+    return doc, params
+
+
+def _v1_reference_digest(instance) -> str:
+    """The v1 fingerprint computed job by job."""
+    import hashlib
+
+    from repro.engine.fingerprint import _VERSION
+
+    h = hashlib.sha256()
+    h.update(_VERSION)
+    budget = getattr(instance, "budget", None)
+    h.update(f"|n={instance.n}|g={instance.g}|T={budget!r}|".encode())
+    if instance.n:
+        packed = np.empty((instance.n, 4), dtype=np.float64)
+        for col, attr in enumerate(("start", "end", "weight", "demand")):
+            packed[:, col] = [getattr(j, attr) for j in instance.jobs]
+        h.update(packed.tobytes())
+    return h.hexdigest()
+
+
+class TestColumnDocumentBytes:
+    """``objective_instance_to_dict`` keeps base job tables
+    column-wise; every encoder must emit the bytes the record list
+    gives (the server's replay tier keys on those bytes)."""
+
+    @staticmethod
+    def _docs(instance, objective, params=None):
+        plan = plan_solve(instance, objective, params)
+        return (
+            objective_instance_to_dict(plan.instance, objective),
+            records_instance_to_dict(plan.instance, objective),
+        )
+
+    @staticmethod
+    def _request(objective, instance_doc, params):
+        # The shape ServiceClient.solve sends.
+        request = {
+            "op": "solve",
+            "objective": objective,
+            "instance": instance_doc,
+            "cache": True,
+        }
+        if params:
+            request["params"] = params
+        return request
+
+    @staticmethod
+    def assert_same_bytes(new, old):
+        from repro.service.binary import InternPool, intern_frame
+
+        assert encode(new) == encode(old)
+        assert encode_binary(new) == encode_binary(old)
+        # Interning twice: the first frame rides raw, the second as refs.
+        tx_new, tx_old = InternPool(), InternPool()
+        for _ in range(2):
+            assert intern_frame(encode_binary(new), tx_new) == intern_frame(
+                encode_binary(old), tx_old
+            )
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wire_corpus(self, family, seed):
+        instance, params = family_instance(family, seed)
+        new, old = self._docs(instance, family, params)
+        assert _with_records(new) == old
+        self.assert_same_bytes(
+            self._request(family, *new), self._request(family, *old)
+        )
+
+    @pytest.mark.parametrize(
+        "name, objective, instance",
+        EDGE_CASES,
+        ids=[case[0] for case in EDGE_CASES],
+    )
+    def test_edge_cases(self, name, objective, instance):
+        new, old = self._docs(instance, objective)
+        self.assert_same_bytes(
+            self._request(objective, *new), self._request(objective, *old)
+        )
+        assert instance_fingerprint(instance) == _v1_reference_digest(
+            instance
+        )
+
+    @pytest.mark.parametrize("size", [3, 12])
+    def test_solve_many_batch(self, size):
+        """A batch of 8+ instance documents packs as records itself,
+        which leaves each job table inline in the control JSON."""
+        from repro.workloads import random_general_instance
+
+        pairs = [
+            self._docs(random_general_instance(20, 3, seed=s), "minbusy")
+            for s in range(size)
+        ]
+
+        def batch(docs):
+            # The shape ServiceClient.iter_solve_many sends.
+            return {
+                "op": "solve_many",
+                "objective": "minbusy",
+                "instances": docs,
+                "cache": True,
+            }
+
+        self.assert_same_bytes(
+            batch([new[0] for new, _ in pairs]),
+            batch([old[0] for _, old in pairs]),
+        )
 
 
 # ----------------------------------------------------------------------
