@@ -47,7 +47,6 @@ from ..engine.engine import (
     objectives as registry_objectives,
     plan_solve,
     serve_hit,
-    strip_for_store,
 )
 from ..engine.executors import Executor, resolve_executor
 from ..engine.repair import RepairTier, clear_repair_index
@@ -184,7 +183,7 @@ class Session:
             repair = self._repair(store)
             if repair is not None:
                 tiers.append(repair)
-            tiers.append(StoreTier(store, prepare=strip_for_store))
+            tiers.append(StoreTier(store))
         return TieredCache(tiers)
 
     # ------------------------------------------------------------------

@@ -13,7 +13,8 @@ occupancy engine (:class:`repro.core.occupancy.DemandOccupancy`): each
 machine probe becomes one vectorized windowed peak-demand sweep over
 the machine's NumPy event columns instead of a Python list scan.  The
 scalar ``_DemandMachine`` loop stays as the reference oracle; both
-paths produce bit-identical machine groupings.
+paths produce bit-identical machine groupings, and both can resume
+from a trusted placement prefix (:func:`place_demand_first_fit`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from ..core.occupancy import (
 )
 from .demands import max_demand_concurrency, validate_demand_schedule
 
-__all__ = ["demand_first_fit", "demand_split_by_class"]
+__all__ = [
+    "demand_first_fit",
+    "demand_first_fit_sort_key",
+    "place_demand_first_fit",
+    "demand_split_by_class",
+]
 
 
 class _DemandMachine:
@@ -38,9 +44,9 @@ class _DemandMachine:
 
     __slots__ = ("g", "jobs")
 
-    def __init__(self, g: int) -> None:
+    def __init__(self, g: int, jobs: List[Job]) -> None:
         self.g = g
-        self.jobs: List[Job] = []
+        self.jobs = jobs
 
     def fits(self, job: Job) -> bool:
         # Peak check restricted to the job's window: other jobs outside
@@ -54,8 +60,11 @@ class _DemandMachine:
             max_demand_concurrency(active + [job]) <= self.g
         )
 
-    def add(self, job: Job) -> None:
-        self.jobs.append(job)
+
+def demand_first_fit_sort_key(job: Job) -> Tuple[float, int, int]:
+    """The placement key ``(-length, -demand, job_id)``: longer first,
+    heavier first at equal length."""
+    return (-job.length, -job.demand, job.job_id)
 
 
 def demand_first_fit(
@@ -63,46 +72,72 @@ def demand_first_fit(
 ) -> List[List[Job]]:
     """Demand-aware FirstFit; returns machine groups (validated).
 
-    Jobs are placed in ``(-length, -demand, job_id)`` order (longer
-    first, heavier first at equal length).  ``backend`` is ``"auto"``
-    (occupancy engine from ``DEMAND_FIRSTFIT_MIN_SIZE`` jobs, scalar
-    below — the demand fit test is a windowed event sweep, so its
-    vectorized crossover sits later than the other variants'),
-    ``"scalar"`` or ``"vectorized"``; all paths produce bit-identical
-    groupings.
+    Jobs are placed in :func:`demand_first_fit_sort_key` order.
+    ``backend`` is ``"auto"`` (occupancy engine from
+    ``DEMAND_FIRSTFIT_MIN_SIZE`` jobs, scalar below — the demand fit
+    test is a windowed event sweep, so its vectorized crossover sits
+    later than the other variants'), ``"scalar"`` or ``"vectorized"``;
+    all paths produce bit-identical groupings.
     """
-    ordered = sorted(
-        instance.jobs, key=lambda j: (-j.length, -j.demand, j.job_id)
-    )
+    ordered = sorted(instance.jobs, key=demand_first_fit_sort_key)
     for job in ordered:
         if job.demand > instance.g:
             raise ValueError(
                 f"job {job.job_id} demands {job.demand} > g={instance.g}"
             )
-    resolved = resolve_backend(
-        backend, len(ordered), DEMAND_FIRSTFIT_MIN_SIZE
-    )
-    if resolved != "scalar":
-        occ = DemandOccupancy(instance.g)
-        groups = []
-        for job in ordered:
-            m = occ.first_fit(job.start, job.end, job.demand)
-            if m == len(groups):
+    groups = place_demand_first_fit(ordered, instance.g, backend=backend)
+    validate_demand_schedule(groups, instance.g, instance.jobs)
+    return groups
+
+
+def place_demand_first_fit(
+    ordered: Sequence[Job],
+    g: int,
+    *,
+    prefix: Sequence[int] = (),
+    backend: str = "auto",
+) -> List[List[Job]]:
+    """The demand-FirstFit loop over jobs already in placement order.
+
+    The first ``len(prefix)`` jobs land unprobed on the machines
+    ``prefix`` lists (an earlier run's; the engine's ``seed`` re-checks
+    them, the scalar loop trusts them); the rest are placed.
+    """
+    k = len(prefix)
+    resolved = resolve_backend(backend, len(ordered), DEMAND_FIRSTFIT_MIN_SIZE)
+    if resolved == "scalar":
+        groups: List[List[Job]] = []
+        for job, m in zip(ordered[:k], prefix):
+            while m >= len(groups):
                 groups.append([])
             groups[m].append(job)
-    else:
-        machines: List[_DemandMachine] = []
-        for job in ordered:
+        machines = [_DemandMachine(g, group) for group in groups]
+        for job in ordered[k:]:
             for m in machines:
                 if m.fits(job):
-                    m.add(job)
+                    m.jobs.append(job)
                     break
             else:
-                m = _DemandMachine(instance.g)
-                m.add(job)
-                machines.append(m)
-        groups = [m.jobs for m in machines]
-    validate_demand_schedule(groups, instance.g, instance.jobs)
+                machines.append(_DemandMachine(g, [job]))
+        return [m.jobs for m in machines]
+    occ = DemandOccupancy(g)
+    head = ordered[:k]
+    occ.seed(
+        (
+            [j.start for j in head],
+            [j.end for j in head],
+            [j.demand for j in head],
+        ),
+        prefix,
+    )
+    groups = [[] for _ in range(occ.n_machines)]
+    for job, m in zip(head, prefix):
+        groups[m].append(job)
+    for job in ordered[k:]:
+        m = occ.first_fit(job.start, job.end, job.demand)
+        if m == len(groups):
+            groups.append([])
+        groups[m].append(job)
     return groups
 
 

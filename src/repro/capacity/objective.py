@@ -21,10 +21,11 @@ certificate, and the verifier re-checks demand validity with
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, List, Mapping
 
 from ..core.errors import InstanceError
 from ..core.instance import BudgetInstance, Instance
+from ..core.jobs import Job
 from ..core.registry import (
     REGISTRY,
     ObjectiveSpec,
@@ -32,13 +33,18 @@ from ..core.registry import (
     schedule_by_position,
 )
 from ..core.schedule import Schedule
-from ..engine.repair import capacity_repair_spec
+from ..engine.fingerprint import fingerprint_v2, job_table
+from ..engine.repair import RepairSpec, assignment_trace
 from .demands import (
     demand_lower_bound,
     demand_schedule_cost,
     validate_demand_schedule,
 )
-from .firstfit import demand_first_fit
+from .firstfit import (
+    demand_first_fit,
+    demand_first_fit_sort_key,
+    place_demand_first_fit,
+)
 
 __all__ = ["SPEC"]
 
@@ -56,12 +62,25 @@ def _normalize(instance: Any, params: Mapping[str, Any]) -> Instance:
 
 
 def _fingerprint(instance: Instance) -> str:
-    from ..engine.fingerprint import fingerprint_v2, job_table
+    return fingerprint_v2("capacity", instance.g, job_table(instance))
 
-    return fingerprint_v2(
-        "capacity",
-        instance.g,
-        job_table(instance),
+
+def _routes_first_fit(instance: Instance) -> bool:
+    """Genuine demand profiles run demand FirstFit; unit demands are
+    the base problem and take the MinBusy dispatcher."""
+    return any(j.demand != 1 for j in instance.jobs)
+
+
+def _first_fit_solved(instance: Instance, groups: List[List[Job]]) -> Solved:
+    schedule = Schedule.from_groups(instance.g, groups)
+    return Solved(
+        algorithm="demand_first_fit",
+        guarantee=None,
+        cost=demand_schedule_cost(groups),
+        throughput=instance.n,
+        schedule=schedule,
+        assignment_by_position=schedule_by_position(instance.jobs, schedule),
+        detail={"lower_bound": demand_lower_bound(instance)},
     )
 
 
@@ -76,29 +95,19 @@ def _solve(instance: Instance) -> Solved:
             schedule=Schedule(g=instance.g),
             detail=detail,
         )
-    if all(j.demand == 1 for j in instance.jobs):
-        from ..minbusy import solve_min_busy
+    if _routes_first_fit(instance):
+        return _first_fit_solved(instance, demand_first_fit(instance))
+    from ..minbusy import solve_min_busy
 
-        inner = solve_min_busy(instance)
-        schedule = inner.schedule
-        algorithm = f"unit_demand:{inner.algorithm}"
-        guarantee = inner.guarantee
-        cost = schedule.cost
-    else:
-        groups = demand_first_fit(instance)
-        schedule = Schedule.from_groups(instance.g, groups)
-        algorithm = "demand_first_fit"
-        guarantee = None
-        cost = demand_schedule_cost(groups)
+    inner = solve_min_busy(instance)
+    schedule = inner.schedule
     return Solved(
-        algorithm=algorithm,
-        guarantee=guarantee,
-        cost=cost,
+        algorithm=f"unit_demand:{inner.algorithm}",
+        guarantee=inner.guarantee,
+        cost=schedule.cost,
         throughput=instance.n,
         schedule=schedule,
-        assignment_by_position=schedule_by_position(
-            instance.jobs, schedule
-        ),
+        assignment_by_position=schedule_by_position(instance.jobs, schedule),
         detail=detail,
     )
 
@@ -122,6 +131,16 @@ SPEC = REGISTRY.register(
         solve=_solve,
         verify=_verify,
         description="MinBusy with per-job capacity demands (Section 5)",
-        repair=capacity_repair_spec(),
+        repair=RepairSpec(
+            algorithm="demand_first_fit",
+            routes=_routes_first_fit,
+            rows=job_table,
+            items=lambda instance: instance.jobs,
+            sort_key=demand_first_fit_sort_key,
+            place=place_demand_first_fit,
+            solved=_first_fit_solved,
+            encode=assignment_trace,
+            threaded=False,
+        ),
     )
 )

@@ -51,7 +51,9 @@ from ..core.instance import BudgetInstance, Instance
 __all__ = [
     "instance_fingerprint",
     "job_table",
+    "fingerprint_v1",
     "fingerprint_v2",
+    "rows_fingerprint",
     "key_from_fingerprint",
     "solve_key",
 ]
@@ -62,15 +64,40 @@ _VERSION = b"busytime-fingerprint-v1"
 _VERSION_V2 = b"busytime-fingerprint-v2"
 
 
+#: Objectives keyed by v1; every other family hashes v2 under its name.
+_V1_OBJECTIVES = frozenset({"minbusy", "maxthroughput"})
+
+
 def instance_fingerprint(instance: AnyInstance) -> str:
     """Hex SHA-256 digest canonically identifying the instance."""
+    return fingerprint_v1(
+        instance.g, job_table(instance), getattr(instance, "budget", None)
+    )
+
+
+def fingerprint_v1(
+    g: int, rows: np.ndarray, budget: Optional[float] = None
+) -> str:
+    """The frozen v1 digest of a :func:`job_table` (plus the budget)."""
     h = hashlib.sha256()
     h.update(_VERSION)
-    budget = getattr(instance, "budget", None)
-    h.update(f"|n={instance.n}|g={instance.g}|T={budget!r}|".encode())
-    if instance.n:
-        h.update(job_table(instance).tobytes())
+    h.update(f"|n={len(rows)}|g={g}|T={budget!r}|".encode())
+    if len(rows):
+        h.update(np.ascontiguousarray(rows, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def rows_fingerprint(
+    objective: str,
+    g: int,
+    rows: np.ndarray,
+    scalars: Optional[Mapping[str, object]] = None,
+) -> str:
+    """An objective's fingerprint from its content rows and scalars
+    alone (how the repair tier certifies stored rows)."""
+    if objective in _V1_OBJECTIVES:
+        return fingerprint_v1(g, rows, (scalars or {}).get("budget"))
+    return fingerprint_v2(objective, g, rows, scalars=scalars)
 
 
 def job_table(instance: AnyInstance) -> np.ndarray:
@@ -79,8 +106,8 @@ def job_table(instance: AnyInstance) -> np.ndarray:
     :attr:`~repro.core.instance.Instance.columns`.
 
     These are the bytes the v1 fingerprint hashes, and the rows the
-    capacity/energy v2 fingerprints and the repair tier's MinBusy and
-    capacity kernels compare.
+    capacity/energy v2 fingerprints hash and the repair tier indexes
+    for MinBusy and capacity.
     """
     n = instance.n
     return np.column_stack(

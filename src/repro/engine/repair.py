@@ -22,28 +22,27 @@ Three pieces:
   sum = stored full sum) and removal (query full sum = stored LOO sum)
   — never a store scan.  The LOO map holds O(n) entries per record,
   an accepted trade at this store's scale.
-* **Per-family repair kernels** — families opt in by attaching a
-  :class:`RepairSpec` to their :class:`~repro.core.registry.
-  ObjectiveSpec` (``repair=``).  All four FirstFit families
-  (minbusy / capacity / rect2d / ring) are supported: the kernel
-  bit-compares the solve-ordered rows of query and candidate, trusts
-  the candidate's placements for the longest common prefix (byte-equal
-  ordered rows imply identical FirstFit decisions — placement depends
-  only on row geometry), bulk-seeds the vectorized occupancy engine
-  with that prefix in O(1) NumPy ops, and replays only the divergent
-  tail through the real ``first_fit`` scan before recomputing the
-  objective exactly as the cold path does.
+* **One FirstFit per family** — the four FirstFit families (minbusy
+  / capacity / rect2d / ring) attach a :class:`RepairSpec` naming their
+  own route predicate, fingerprint rows, sort key, placement loop and
+  result constructor.  The tier bit-compares the solve-ordered rows of
+  query and candidate, trusts the candidate's placements for the
+  longest common prefix (equal ordered rows imply equal FirstFit
+  decisions), and hands that prefix to the family loop (``prefix=``),
+  which seeds its occupancy engine in bulk and places only the tail.
 * **Abort-to-miss, never approximate** — the hash probe is only a
   *finder*; correctness rests on re-certifying the stored rows against
   the fingerprint embedded in the record's cache key (and the query
   rows against the plan's own fingerprint), on the bitwise
-  (``uint64``-view) prefix comparison, and on structural invariants of
+  (``uint64``-view) prefix comparison, on structural invariants of
   the trusted prefix (machine contiguity, thread-0 openings, a true
-  permutation).  Any check failing — or any unexpected exception —
+  permutation), and on the occupancy engine's ``seed`` refusing an
+  infeasible prefix (overlapping items on one thread, a machine over
+  capacity).  Any check failing — or any unexpected exception —
   aborts the repair and falls through to the tiers below.  Attempts,
   hits and aborts are counted in per-process ``rstats-*.json`` files
-  (atomic-replace, same discipline as the store's counters) and
-  surface in ``cache_stats`` locally and across shards.
+  (the store's :class:`~repro.engine.store.CounterFile`) and surface
+  in ``cache_stats`` locally and across shards.
 
 Exact hits are deliberately *not* intercepted: when the key already
 exists in the backing store the tier returns ``None`` so the store
@@ -55,18 +54,13 @@ written back to the store or re-indexed.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-import uuid
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -79,7 +73,8 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .engine import EngineResult
-from .store import ResultStore
+from .fingerprint import rows_fingerprint
+from .store import CounterFile, ResultStore
 
 # Mirror of the buffered rstats ticks as live registry counters (the
 # rstats files remain the source of truth for ``cache_stats``).
@@ -94,12 +89,10 @@ __all__ = [
     "RepairSpec",
     "RepairTier",
     "row_hashes",
+    "assignment_trace",
+    "threads_trace",
     "repair_index_stats",
     "clear_repair_index",
-    "minbusy_repair_spec",
-    "capacity_repair_spec",
-    "rect2d_repair_spec",
-    "ring_repair_spec",
 ]
 
 #: Bump when the index record layout changes incompatibly; readers
@@ -206,575 +199,76 @@ def _is_permutation(perm: np.ndarray, n: int) -> bool:
     return counts.size == n and bool((counts == 1).all())
 
 
+def _no_scalars(instance: Any) -> Dict[str, Any]:
+    return {}
+
+
 @dataclass(frozen=True)
 class RepairSpec:
-    """A family's contract with the repair tier.
+    """A family's FirstFit arm, as the repair tier replays it.
 
-    ``routes`` must mirror the family dispatcher exactly — only
-    instances that would run the (replayable) FirstFit arm may be
-    indexed or repaired.  ``rows``/``scalars`` must reproduce the
-    family fingerprint's serialization byte-for-byte (certified via
-    ``fingerprint_from_rows`` on both the write and the read path).
-    ``order`` returns the FirstFit solve order as canonical positions;
-    ``encode`` extracts the per-solve-step placement vector from a
-    solved result (``None`` = not encodable, skip indexing); ``replay``
-    rebuilds the full result from a trusted placement prefix plus a
-    real tail replay (``None`` = abort to miss).
+    Every field is the family's own code, so a repair re-runs the cold
+    path from a later start: the arm's result ``algorithm`` and
+    dispatcher predicate (``routes``), the ``rows``/``scalars`` its
+    fingerprint hashes, its canonical ``items`` and placement
+    ``sort_key``, its placement loop ``place(ordered, g, prefix=,
+    backend=)`` and result constructor ``solved(instance, placement)``.
+    ``encode(instance, result, perm)`` extracts a solved result's
+    per-step placements (``None`` = not indexable): global thread ids
+    when ``threaded``, machine ids otherwise.
     """
 
-    family: str
-    #: result ``algorithm`` strings this kernel can index and replay.
-    algorithms: Tuple[str, ...]
+    algorithm: str
     routes: Callable[[Any], bool]
     rows: Callable[[Any], np.ndarray]
-    scalars: Callable[[Any], Dict[str, Any]]
-    fingerprint_from_rows: Callable[[np.ndarray, int, Mapping[str, Any]], str]
-    order: Callable[[Any], np.ndarray]
+    items: Callable[[Any], Sequence[Any]]
+    sort_key: Callable[[Any], Any]
+    place: Callable[..., Any]
+    solved: Callable[[Any, Any], Any]
     encode: Callable[[Any, Any, np.ndarray], Optional[np.ndarray]]
-    replay: Callable[
-        [Any, np.ndarray, np.ndarray, int, np.ndarray], Optional[Any]
-    ]
+    scalars: Callable[[Any], Dict[str, Any]] = _no_scalars
+    threaded: bool = True
+
+    def order(self, instance: Any) -> np.ndarray:
+        """The FirstFit solve order as canonical item positions."""
+        keys = list(map(self.sort_key, self.items(instance)))
+        return np.asarray(
+            sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp
+        )
 
 
-# ----------------------------------------------------------------------
-# shared kernel helpers
-# ----------------------------------------------------------------------
-
-
-def _threaded_placed(
-    n_items: int, g: int, machines_pos, order: np.ndarray
+def threads_trace(
+    instance: Any, result: Any, perm: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Per-solve-step global thread ids from a positional
-    machine/thread encoding (``detail["machines"]`` shape)."""
-    tid_by_pos = np.full(n_items, -1, dtype=np.int64)
-    for mid, threads in enumerate(machines_pos):
+    """Per-solve-step global thread ids from a result's positional
+    ``detail["machines"]`` encoding (an ``encode`` for rect2d/ring)."""
+    detail = getattr(result, "detail", None)
+    if not detail or "machines" not in detail:
+        return None
+    n, g = instance.n, instance.g
+    tid_by_pos = np.full(n, -1, dtype=np.int64)
+    for mid, threads in enumerate(detail["machines"]):
         if len(threads) != g:
             return None
         for tau, thread in enumerate(threads):
             for p in thread:
                 p = int(p)
-                if not 0 <= p < n_items or tid_by_pos[p] != -1:
+                if not 0 <= p < n or tid_by_pos[p] != -1:
                     return None
                 tid_by_pos[p] = mid * g + tau
-    if n_items and int(tid_by_pos.min()) < 0:
+    if n and int(tid_by_pos.min()) < 0:
         return None
-    return tid_by_pos[order]
+    return tid_by_pos[perm]
 
 
-def _assignment_placed(
-    n_items: int, result: Any, order: np.ndarray
+def assignment_trace(
+    instance: Any, result: Any, perm: np.ndarray
 ) -> Optional[np.ndarray]:
     """Per-solve-step machine ids from ``assignment_by_position``."""
     abp = getattr(result, "assignment_by_position", ())
-    if len(abp) != n_items or any(m is None for m in abp):
+    if len(abp) != instance.n or any(m is None for m in abp):
         return None
-    return np.asarray(abp, dtype=np.int64)[order]
-
-
-# ----------------------------------------------------------------------
-# minbusy
-# ----------------------------------------------------------------------
-
-
-def minbusy_repair_spec() -> RepairSpec:
-    """Repair kernel for MinBusy's general-instance FirstFit arm."""
-    from ..core.occupancy import IntervalOccupancy
-    from ..core.registry import Solved
-    from ..minbusy.dispatch import route_min_busy
-    from ..minbusy.firstfit import firstfit_sort_key
-    from .fingerprint import _VERSION as _FP_V1, job_table
-
-    def routes(instance: Any) -> bool:
-        return route_min_busy(instance) == "first_fit"
-
-    def rows(instance: Any) -> np.ndarray:
-        return job_table(instance)
-
-    def scalars(instance: Any) -> Dict[str, Any]:
-        return {}
-
-    def fingerprint_from_rows(
-        table: np.ndarray, g: int, scal: Mapping[str, Any]
-    ) -> str:
-        # Reproduces the frozen v1 serialization for a plain Instance
-        # (minbusy normalization strips any budget, so ``T=None``).
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(_FP_V1)
-        h.update(f"|n={len(table)}|g={g}|T=None|".encode())
-        if len(table):
-            h.update(np.ascontiguousarray(table, dtype=np.float64).tobytes())
-        return h.hexdigest()
-
-    def order(instance: Any) -> np.ndarray:
-        jobs = instance.jobs
-        return np.asarray(
-            sorted(
-                range(len(jobs)), key=lambda i: firstfit_sort_key(jobs[i])
-            ),
-            dtype=np.intp,
-        )
-
-    def encode(
-        instance: Any, result: Any, perm: np.ndarray
-    ) -> Optional[np.ndarray]:
-        # The stored result carries machine-per-position only; derive
-        # the thread structure by replaying first-fit-within-assigned-
-        # machine in solve order (a write-path-only cost).  Per-thread
-        # state is a sorted disjoint interval list, so each fit test is
-        # one bisect: sorted disjoint intervals have non-decreasing
-        # ends, hence only the predecessor can overlap a candidate.
-        mach = _assignment_placed(instance.n, result, perm)
-        if mach is None:
-            return None
-        jobs, g = instance.jobs, instance.g
-        tids = np.empty(instance.n, dtype=np.int64)
-        threads: Dict[int, Tuple[List[float], List[float]]] = {}
-        n_open = 0
-        for k, pos in enumerate(perm):
-            m = int(mach[k])
-            if m > n_open or m < 0:
-                return None  # machines must open contiguously
-            if m == n_open:
-                n_open += 1
-            job = jobs[int(pos)]
-            s, e = job.start, job.end
-            tau = None
-            for t in range(g):
-                rec = threads.get(m * g + t)
-                if rec is None:
-                    tau = t
-                    break
-                starts, ends = rec
-                i = bisect_left(starts, e)
-                if i == 0 or ends[i - 1] <= s:
-                    tau = t
-                    break
-            if tau is None:
-                return None  # assignment inconsistent with FirstFit
-            tid = m * g + tau
-            rec = threads.get(tid)
-            if rec is None:
-                threads[tid] = rec = ([], [])
-            starts, ends = rec
-            i = bisect_left(starts, s)
-            starts.insert(i, s)
-            ends.insert(i, e)
-            tids[k] = tid
-        return tids
-
-    def replay(
-        instance: Any,
-        q_perm: np.ndarray,
-        q_ordered: np.ndarray,
-        lcp: int,
-        prefix: np.ndarray,
-    ) -> Optional[Any]:
-        g, n, jobs = instance.g, instance.n, instance.jobs
-        if not _valid_tid_prefix(prefix, g):
-            return None
-        occ = IntervalOccupancy(g, initial_capacity=max(256, n))
-        k = int(lcp)
-        tids = np.empty(n, dtype=np.int64)
-        if k:
-            occ._columns[:, :k] = q_ordered[:k, :2].T
-            occ._tids[:k] = prefix
-            occ.n_placed = k
-            occ.n_machines = int(prefix.max()) // g + 1
-            tids[:k] = prefix
-        for i in range(k, n):
-            job = jobs[int(q_perm[i])]
-            m, tau = occ.first_fit(job.start, job.end)
-            tids[i] = m * g + tau
-        # Serve the hit the way the store tier does: positions only,
-        # ``schedule=None`` — ``serve_hit`` re-inflates the Schedule
-        # once, instead of us building one here that it would rebuild.
-        # Cost must be byte-identical to ``Schedule.cost``: a sum of
-        # per-machine ``union_length`` in ascending machine order (the
-        # insertion order ``group_schedule`` produces; FirstFit opens
-        # machines contiguously and never leaves one empty).  The sweep
-        # below replicates ``merge_intervals`` + ``union_length`` on
-        # bare float pairs — same sort key (start, end), same ``<=``
-        # merge rule, same left-to-right accumulation — so every float
-        # operation matches the Schedule path exactly.
-        by_machine: List[List[Tuple[float, float]]] = [
-            [] for _ in range(occ.n_machines)
-        ]
-        abp: List[Optional[int]] = [None] * n
-        for i in range(n):
-            m = int(tids[i]) // g
-            pos = int(q_perm[i])
-            job = jobs[pos]
-            by_machine[m].append((job.start, job.end))
-            abp[pos] = m
-        cost = 0.0
-        for ivs in by_machine:
-            ivs.sort()
-            busy = 0.0
-            cur_s, cur_e = ivs[0]
-            for s, e in ivs[1:]:
-                if s <= cur_e:
-                    if e > cur_e:
-                        cur_e = e
-                else:
-                    busy += cur_e - cur_s
-                    cur_s, cur_e = s, e
-            busy += cur_e - cur_s
-            cost += busy
-        cost = float(cost)
-        return Solved(
-            algorithm="first_fit",
-            guarantee=4.0,
-            cost=cost,
-            throughput=n,
-            schedule=None,
-            assignment_by_position=tuple(abp),
-        )
-
-    return RepairSpec(
-        family="minbusy",
-        algorithms=("first_fit",),
-        routes=routes,
-        rows=rows,
-        scalars=scalars,
-        fingerprint_from_rows=fingerprint_from_rows,
-        order=order,
-        encode=encode,
-        replay=replay,
-    )
-
-
-# ----------------------------------------------------------------------
-# capacity (variable demands)
-# ----------------------------------------------------------------------
-
-
-def capacity_repair_spec() -> RepairSpec:
-    """Repair kernel for the demand-aware FirstFit arm.
-
-    Unit-demand instances route through the MinBusy dispatcher inside
-    the capacity objective and are *not* repairable under this spec.
-    """
-    from ..capacity.demands import demand_lower_bound, demand_schedule_cost
-    from ..core.occupancy import DemandOccupancy
-    from ..core.registry import Solved, schedule_by_position
-    from ..core.schedule import Schedule
-    from .fingerprint import fingerprint_v2, job_table
-
-    def routes(instance: Any) -> bool:
-        return instance.n > 0 and any(
-            j.demand != 1 for j in instance.jobs
-        )
-
-    def rows(instance: Any) -> np.ndarray:
-        return job_table(instance)
-
-    def scalars(instance: Any) -> Dict[str, Any]:
-        return {}
-
-    def fingerprint_from_rows(
-        table: np.ndarray, g: int, scal: Mapping[str, Any]
-    ) -> str:
-        return fingerprint_v2(
-            "capacity", g, table, scalars=dict(scal) or None
-        )
-
-    def order(instance: Any) -> np.ndarray:
-        jobs = instance.jobs
-        return np.asarray(
-            sorted(
-                range(len(jobs)),
-                key=lambda i: (
-                    -jobs[i].length,
-                    -jobs[i].demand,
-                    jobs[i].job_id,
-                ),
-            ),
-            dtype=np.intp,
-        )
-
-    def encode(
-        instance: Any, result: Any, perm: np.ndarray
-    ) -> Optional[np.ndarray]:
-        return _assignment_placed(instance.n, result, perm)
-
-    def replay(
-        instance: Any,
-        q_perm: np.ndarray,
-        q_ordered: np.ndarray,
-        lcp: int,
-        prefix: np.ndarray,
-    ) -> Optional[Any]:
-        g, n, jobs = instance.g, instance.n, instance.jobs
-        # Machine ids behave like tids with g=1 (contiguous opening).
-        if not _valid_tid_prefix(prefix, 1):
-            return None
-        occ = DemandOccupancy(g)
-        k = int(lcp)
-        n_open = int(prefix.max()) + 1 if k else 0
-        groups: List[List[Any]] = [[] for _ in range(n_open)]
-        starts = q_ordered[:k, 0]
-        ends = q_ordered[:k, 1]
-        demands = q_ordered[:k, 3].astype(np.int64)
-        for m in range(n_open):
-            sel = prefix == m
-            s_ = np.ascontiguousarray(starts[sel])
-            e_ = np.ascontiguousarray(ends[sel])
-            d_ = np.ascontiguousarray(demands[sel])
-            if not s_.size:
-                return None  # contiguity guarantees non-empty machines
-            occ._machines.append([s_, e_, d_, int(s_.size)])
-        for i in range(k):
-            groups[int(prefix[i])].append(jobs[int(q_perm[i])])
-        for i in range(k, n):
-            job = jobs[int(q_perm[i])]
-            m = occ.first_fit(job.start, job.end, job.demand)
-            if m == len(groups):
-                groups.append([])
-            groups[m].append(job)
-        schedule = Schedule.from_groups(g, groups)
-        return Solved(
-            algorithm="demand_first_fit",
-            guarantee=None,
-            cost=demand_schedule_cost(groups),
-            throughput=instance.n,
-            schedule=schedule,
-            assignment_by_position=schedule_by_position(jobs, schedule),
-            detail={"lower_bound": demand_lower_bound(instance)},
-        )
-
-    return RepairSpec(
-        family="capacity",
-        algorithms=("demand_first_fit",),
-        routes=routes,
-        rows=rows,
-        scalars=scalars,
-        fingerprint_from_rows=fingerprint_from_rows,
-        order=order,
-        encode=encode,
-        replay=replay,
-    )
-
-
-# ----------------------------------------------------------------------
-# rect2d
-# ----------------------------------------------------------------------
-
-
-def rect2d_repair_spec() -> RepairSpec:
-    """Repair kernel for Algorithm 3 (planar FirstFit, γ₁ ≤ β)."""
-    from ..core.occupancy import RectOccupancy
-    from ..core.registry import Solved, threads_by_position
-    from ..rect.bucket import PAPER_BETA
-    from ..rect.schedule2d import RectMachine, RectSchedule
-    from .fingerprint import fingerprint_v2
-
-    def routes(instance: Any) -> bool:
-        return instance.n > 0 and instance.gamma1 <= PAPER_BETA
-
-    def rows(instance: Any) -> np.ndarray:
-        packed = np.empty((instance.n, 4), dtype=np.float64)
-        for col, attr in enumerate(("x0", "y0", "x1", "y1")):
-            packed[:, col] = [getattr(r, attr) for r in instance.rects]
-        return packed
-
-    def scalars(instance: Any) -> Dict[str, Any]:
-        return {}
-
-    def fingerprint_from_rows(
-        table: np.ndarray, g: int, scal: Mapping[str, Any]
-    ) -> str:
-        return fingerprint_v2("rect2d", g, table, scalars=dict(scal) or None)
-
-    def order(instance: Any) -> np.ndarray:
-        rects = instance.rects
-        return np.asarray(
-            sorted(
-                range(len(rects)),
-                key=lambda i: (-rects[i].len2, rects[i].rect_id),
-            ),
-            dtype=np.intp,
-        )
-
-    def encode(
-        instance: Any, result: Any, perm: np.ndarray
-    ) -> Optional[np.ndarray]:
-        detail = getattr(result, "detail", None)
-        if not detail or "machines" not in detail:
-            return None
-        return _threaded_placed(
-            instance.n, instance.g, detail["machines"], perm
-        )
-
-    def replay(
-        instance: Any,
-        q_perm: np.ndarray,
-        q_ordered: np.ndarray,
-        lcp: int,
-        prefix: np.ndarray,
-    ) -> Optional[Any]:
-        g, n, rects = instance.g, instance.n, instance.rects
-        if not _valid_tid_prefix(prefix, g):
-            return None
-        occ = RectOccupancy(g, initial_capacity=max(256, n))
-        k = int(lcp)
-        if k:
-            occ._columns[:, :k] = q_ordered[:k, :4].T
-            occ._tids[:k] = prefix
-            occ.n_placed = k
-            occ.n_machines = int(prefix.max()) // g + 1
-        machines = [
-            RectMachine(g=g, machine_id=i) for i in range(occ.n_machines)
-        ]
-        for i in range(k):
-            tid = int(prefix[i])
-            machines[tid // g].threads[tid % g].append(
-                rects[int(q_perm[i])]
-            )
-        for i in range(k, n):
-            r = rects[int(q_perm[i])]
-            m, tau = occ.first_fit(r.x0, r.y0, r.x1, r.y1)
-            if m == len(machines):
-                machines.append(RectMachine(g=g, machine_id=m))
-            machines[m].threads[tau].append(r)
-        schedule = RectSchedule(g=g, machines=machines)
-        gamma1 = instance.gamma1
-        return Solved(
-            algorithm="first_fit_2d",
-            guarantee=6.0 * gamma1 + 4.0,
-            cost=schedule.cost,
-            throughput=n,
-            detail={
-                "machines": threads_by_position(rects, schedule.machines),
-                "n_machines": len(schedule.machines),
-            },
-        )
-
-    return RepairSpec(
-        family="rect2d",
-        algorithms=("first_fit_2d",),
-        routes=routes,
-        rows=rows,
-        scalars=scalars,
-        fingerprint_from_rows=fingerprint_from_rows,
-        order=order,
-        encode=encode,
-        replay=replay,
-    )
-
-
-# ----------------------------------------------------------------------
-# ring
-# ----------------------------------------------------------------------
-
-
-def ring_repair_spec() -> RepairSpec:
-    """Repair kernel for cylinder FirstFit (Theorem 3.3, γ₁ ≤ β)."""
-    from ..core.occupancy import RingOccupancy
-    from ..core.registry import Solved, threads_by_position
-    from ..rect.bucket import PAPER_BETA
-    from ..topology.ring_firstfit import RingMachine, RingSchedule
-    from .fingerprint import fingerprint_v2
-
-    def routes(instance: Any) -> bool:
-        if instance.n == 0:
-            return False
-        arc_lens = [j.len1 for j in instance.jobs]
-        return max(arc_lens) / min(arc_lens) <= PAPER_BETA
-
-    def rows(instance: Any) -> np.ndarray:
-        packed = np.empty((instance.n, 4), dtype=np.float64)
-        for col, attr in enumerate(("a0", "alen", "t0", "t1")):
-            packed[:, col] = [getattr(j, attr) for j in instance.jobs]
-        return packed
-
-    def scalars(instance: Any) -> Dict[str, Any]:
-        return {"circumference": instance.circumference}
-
-    def fingerprint_from_rows(
-        table: np.ndarray, g: int, scal: Mapping[str, Any]
-    ) -> str:
-        return fingerprint_v2("ring", g, table, scalars=dict(scal) or None)
-
-    def order(instance: Any) -> np.ndarray:
-        jobs = instance.jobs
-        return np.asarray(
-            sorted(
-                range(len(jobs)),
-                key=lambda i: (-jobs[i].len2, jobs[i].job_id),
-            ),
-            dtype=np.intp,
-        )
-
-    def encode(
-        instance: Any, result: Any, perm: np.ndarray
-    ) -> Optional[np.ndarray]:
-        detail = getattr(result, "detail", None)
-        if not detail or "machines" not in detail:
-            return None
-        return _threaded_placed(
-            instance.n, instance.g, detail["machines"], perm
-        )
-
-    def replay(
-        instance: Any,
-        q_perm: np.ndarray,
-        q_ordered: np.ndarray,
-        lcp: int,
-        prefix: np.ndarray,
-    ) -> Optional[Any]:
-        g, n, jobs = instance.g, instance.n, instance.jobs
-        if not _valid_tid_prefix(prefix, g):
-            return None
-        occ = RingOccupancy(g, initial_capacity=max(256, n))
-        k = int(lcp)
-        if k:
-            occ._columns[:, :k] = q_ordered[:k, :4].T
-            occ._tids[:k] = prefix
-            occ.n_placed = k
-            occ.n_machines = int(prefix.max()) // g + 1
-        machines = [
-            RingMachine(g=g, machine_id=i) for i in range(occ.n_machines)
-        ]
-        for i in range(k):
-            tid = int(prefix[i])
-            machines[tid // g].threads[tid % g].append(
-                jobs[int(q_perm[i])]
-            )
-        for i in range(k, n):
-            j = jobs[int(q_perm[i])]
-            m, tau = occ.first_fit(
-                j.a0, j.alen, j.t0, j.t1, j.circumference
-            )
-            if m == len(machines):
-                machines.append(RingMachine(g=g, machine_id=m))
-            machines[m].threads[tau].append(j)
-        schedule = RingSchedule(g=g, machines=machines)
-        arc_lens = [j.len1 for j in jobs]
-        gamma1 = max(arc_lens) / min(arc_lens)
-        return Solved(
-            algorithm="ring_first_fit",
-            guarantee=6.0 * gamma1 + 4.0,
-            cost=schedule.cost,
-            throughput=n,
-            detail={
-                "machines": threads_by_position(jobs, schedule.machines),
-                "n_machines": len(schedule.machines),
-            },
-        )
-
-    return RepairSpec(
-        family="ring",
-        algorithms=("ring_first_fit",),
-        routes=routes,
-        rows=rows,
-        scalars=scalars,
-        fingerprint_from_rows=fingerprint_from_rows,
-        order=order,
-        encode=encode,
-        replay=replay,
-    )
+    return np.asarray(abp, dtype=np.int64)[perm]
 
 
 # ----------------------------------------------------------------------
@@ -806,8 +300,7 @@ class RepairTier:
         self._records: Dict[str, dict] = {}
         self._full: Dict[tuple, List[str]] = {}
         self._loo: Dict[tuple, List[str]] = {}
-        self._counts = {"attempts": 0, "hits": 0, "aborts": 0}
-        self._counter_path: Optional[Path] = None
+        self._counters = _counter_file(self.index.root)
         self._dirty = 0
         self._load_index()
 
@@ -953,36 +446,16 @@ class RepairTier:
 
     def stats(self) -> Dict[str, Any]:
         self.flush_counters()
-        counts = {"attempts": 0, "hits": 0, "aborts": 0}
-        for path in self.index.root.glob("rstats-*.json"):
-            try:
-                raw = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            for field in counts:
-                try:
-                    counts[field] += int(raw.get(field, 0))
-                except (TypeError, ValueError):
-                    pass
         self.index.refresh()
-        out: Dict[str, Any] = dict(counts)
-        out["indexed"] = len(self.index)
-        out["path"] = str(self.index.root)
-        return out
+        return _index_stats(self.index)
 
     def clear(self) -> None:
         with self._lock:
             self.index.clear()
-            for path in self.index.root.glob("rstats-*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            self._counters.clear()
             self._records.clear()
             self._full.clear()
             self._loo.clear()
-            self._counts = {"attempts": 0, "hits": 0, "aborts": 0}
-            self._counter_path = None
             self._dirty = 0
 
     # ------------------------------------------------------------------
@@ -992,7 +465,7 @@ class RepairTier:
         rspec = getattr(getattr(plan, "spec", None), "repair", None)
         if rspec is None:
             return
-        if getattr(result, "algorithm", None) not in rspec.algorithms:
+        if getattr(result, "algorithm", None) != rspec.algorithm:
             return
         with self._lock:
             if key in self._records:
@@ -1007,12 +480,11 @@ class RepairTier:
         if ":" not in key:
             return
         fp = key.split(":", 1)[1]
-        # Self-certify: the rows hook must reproduce the fingerprint's
-        # serialization exactly, or near-miss certification would be
-        # comparing the wrong bytes.
-        if rspec.fingerprint_from_rows(rows, instance.g, scalars) != fp:
+        # Self-certify: the rows must reproduce the fingerprint exactly,
+        # or near-miss certification would be comparing the wrong bytes.
+        if rows_fingerprint(plan.spec.name, instance.g, rows, scalars) != fp:
             return
-        perm = np.asarray(rspec.order(instance), dtype=np.intp)
+        perm = rspec.order(instance)
         n = rows.shape[0]
         if not _is_permutation(perm, n):
             return
@@ -1055,24 +527,26 @@ class RepairTier:
         )
         q_scalars = dict(rspec.scalars(instance))
         if (
-            rspec.fingerprint_from_rows(q_rows, instance.g, q_scalars)
+            rows_fingerprint(plan.spec.name, instance.g, q_rows, q_scalars)
             != plan.fingerprint
         ):
-            return "abort", None  # rows hook out of sync with fingerprint
+            return "abort", None  # rows out of sync with the fingerprint
         ctx = (plan.spec.name, int(instance.g), _scalars_key(q_scalars))
         candidates = self._probe(ctx, row_hashes(q_rows))
         if not candidates:
             return "miss", None
-        q_perm = np.asarray(rspec.order(instance), dtype=np.intp)
+        q_perm = rspec.order(instance)
         if not _is_permutation(q_perm, q_rows.shape[0]):
             return "abort", None
         q_ordered = np.ascontiguousarray(q_rows[q_perm])
+        items = rspec.items(instance)
+        q_items = [items[i] for i in q_perm]
         for cand in candidates:
             with self._lock:
                 rec = self._records.get(cand)
             if rec is None:
                 continue
-            result = self._attempt(rec, plan, rspec, q_perm, q_ordered)
+            result = self._attempt(rec, plan, rspec, q_ordered, q_items)
             if result is not None:
                 return "hit", result
         return "abort", None
@@ -1082,8 +556,8 @@ class RepairTier:
         rec: dict,
         plan: Any,
         rspec: RepairSpec,
-        q_perm: np.ndarray,
         q_ordered: np.ndarray,
+        q_items: List[Any],
     ) -> Optional[EngineResult]:
         try:
             rows = np.ascontiguousarray(rec["rows"], dtype=np.float64)
@@ -1098,7 +572,7 @@ class RepairTier:
             # embedded in its own cache key: a record whose rows do not
             # hash to its key proves nothing about any cold solve.
             if (
-                rspec.fingerprint_from_rows(rows, g, scalars)
+                rows_fingerprint(plan.spec.name, g, rows, scalars)
                 != rkey.split(":", 1)[1]
             ):
                 return None
@@ -1110,13 +584,17 @@ class RepairTier:
             if rows.shape[1] != q_ordered.shape[1]:
                 return None
             s_ordered = np.ascontiguousarray(rows[perm])
-            lcp = _common_prefix_rows(s_ordered, q_ordered)
-            solved = rspec.replay(
-                plan.instance, q_perm, q_ordered, lcp, placed[:lcp]
+            prefix = placed[: _common_prefix_rows(s_ordered, q_ordered)]
+            if not _valid_tid_prefix(prefix, g if rspec.threaded else 1):
+                return None
+            # Always the occupancy engine: its ``seed`` re-checks that
+            # the trusted prefix is feasible (the scalar oracle trusts
+            # it outright).
+            placement = rspec.place(
+                q_items, g, prefix=prefix, backend="vectorized"
             )
+            solved = rspec.solved(plan.instance, placement)
         except Exception:
-            return None
-        if solved is None:
             return None
         return EngineResult(
             objective=plan.spec.name,
@@ -1144,32 +622,22 @@ class RepairTier:
         :meth:`flush_counters` (which ``stats()`` and session teardown
         call) — the hot path stays I/O-free."""
         with self._lock:
-            self._counts[field] += 1
+            self._counters.counts[field] += 1
             self._dirty += 1
             if self._dirty >= _COUNTER_FLUSH_EVERY:
                 self._write_counts()
 
     def flush_counters(self) -> None:
         """Persist any unwritten counter ticks to this instance's own
-        ``rstats`` file (atomic replace; the ``rstats-`` prefix keeps
-        it outside the index store's own ``stats-*.json`` glob)."""
+        ``rstats`` file."""
         with self._lock:
             if self._dirty:
                 self._write_counts()
 
     def _write_counts(self) -> None:
         """Caller holds the lock."""
-        if self._counter_path is None:
-            self._counter_path = self.index.root / (
-                f"rstats-{os.getpid()}-{uuid.uuid4().hex[:8]}.json"
-            )
-        tmp = self._counter_path.with_suffix(".tmp")
-        try:
-            tmp.write_text(json.dumps(self._counts))
-            tmp.replace(self._counter_path)
+        if self._counters.write():
             self._dirty = 0
-        except OSError:  # pragma: no cover - stats are best-effort
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -1177,19 +645,17 @@ class RepairTier:
 # ----------------------------------------------------------------------
 
 
-def _read_rstats(index_root: Path) -> Dict[str, int]:
-    counts = {"attempts": 0, "hits": 0, "aborts": 0}
-    for path in index_root.glob("rstats-*.json"):
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        for field in counts:
-            try:
-                counts[field] += int(raw.get(field, 0))
-            except (TypeError, ValueError):
-                pass
-    return counts
+def _counter_file(index_root: Path) -> CounterFile:
+    # The ``rstats-`` prefix keeps clear of the index store's own
+    # ``stats-*.json`` counters.
+    return CounterFile(index_root, "rstats", ("attempts", "hits", "aborts"))
+
+
+def _index_stats(index: ResultStore) -> Dict[str, Any]:
+    out: Dict[str, Any] = _counter_file(index.root).totals()
+    out["indexed"] = len(index)
+    out["path"] = str(index.root)
+    return out
 
 
 def repair_index_stats(store_root: Any) -> Optional[Dict[str, Any]]:
@@ -1203,10 +669,7 @@ def repair_index_stats(store_root: Any) -> Optional[Dict[str, Any]]:
     root = Path(store_root) / _SIMIDX_DIR
     if not root.is_dir():
         return None
-    out: Dict[str, Any] = _read_rstats(root)
-    out["indexed"] = len(ResultStore(root))
-    out["path"] = str(root)
-    return out
+    return _index_stats(ResultStore(root))
 
 
 def clear_repair_index(store_root: Any) -> bool:
@@ -1221,9 +684,5 @@ def clear_repair_index(store_root: Any) -> bool:
     if not root.is_dir():
         return False
     ResultStore(root).clear()
-    for path in root.glob("rstats-*.json"):
-        try:
-            path.unlink()
-        except OSError:
-            pass
+    _counter_file(root).clear()
     return True

@@ -24,19 +24,21 @@ design chosen for multi-writer safety on POSIX filesystems:
   tails plus any new segments, which is how one process observes
   another's writes mid-session.
 * **Persistent counters.**  Each store instance accumulates its hits /
-  misses / puts in its *own* ``stats-<pid>-<nonce>.json`` (written by
-  atomic replace — single-writer, so no lock is ever taken on the
-  counter hot path); :meth:`ResultStore.stats` sums every counter
-  file, so ``repro cache stats`` shows that a second CLI invocation
-  really was served from disk.
+  misses / puts in its *own* ``stats-<pid>-<nonce>.json`` (a
+  :class:`CounterFile`: written by atomic replace — single-writer, so
+  no lock is ever taken on the counter hot path);
+  :meth:`ResultStore.stats` sums every counter file, so ``repro cache
+  stats`` shows that a second CLI invocation really was served from
+  disk.  The repair tier keeps its ``rstats-*.json`` counters the same
+  way.
 
 In the layered cache stack this is the backing structure of the
 persistent tier (:class:`repro.engine.tiers.StoreTier`): the
 :class:`~repro.engine.tiers.TieredCache` probes LRU → store, promotes
 store hits into the LRU, and writes fresh results through both tiers —
-this tier's ``prepare`` transform strips results to ``schedule=None``
-on the way in (positional encodings rebuild schedules on the way out,
-so persisted bytes stay compact and id-free).
+that tier strips results to ``schedule=None`` on the way in
+(positional encodings rebuild schedules on the way out, so persisted
+bytes stay compact and id-free).
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ __all__ = [
     "STORE_VERSION",
     "StoreStats",
     "ResultStore",
+    "CounterFile",
     "default_store_dir",
 ]
 
@@ -100,6 +103,68 @@ class StoreStats(NamedTuple):
     segments: int
     total_bytes: int
     path: str
+
+
+class CounterFile:
+    """A counter set kept per process under a shared file prefix.
+
+    This instance publishes its own counts to
+    ``<root>/<prefix>-<pid>-<nonce>.json`` by atomic replace — single
+    writer, so no lock other processes contend on; :meth:`totals` sums
+    every process's file.  When to :meth:`write` is the owner's flush
+    policy.
+    """
+
+    def __init__(
+        self, root: os.PathLike, prefix: str, fields: Iterable[str]
+    ) -> None:
+        self.root = Path(root)
+        self.prefix = prefix
+        self.counts: Dict[str, int] = dict.fromkeys(fields, 0)
+        self._path: Optional[Path] = None
+
+    def _files(self) -> List[Path]:
+        return list(self.root.glob(f"{self.prefix}-*.json"))
+
+    def write(self) -> bool:
+        """Publish this instance's counts; ``False`` if that failed."""
+        if self._path is None:
+            self._path = self.root / (
+                f"{self.prefix}-{os.getpid()}-{uuid.uuid4().hex[:8]}.json"
+            )
+        tmp = self._path.with_suffix(".tmp")
+        try:
+            tmp.write_text(json.dumps(self.counts))
+            tmp.replace(self._path)
+        except OSError:  # pragma: no cover - stats are best-effort
+            return False
+        return True
+
+    def totals(self) -> Dict[str, int]:
+        """Every process's published counts, summed (unreadable files
+        and junk values count as zero)."""
+        totals = dict.fromkeys(self.counts, 0)
+        for path in self._files():
+            try:
+                raw = json.loads(path.read_text())
+            except (OSError, ValueError):
+                continue
+            for field in totals:
+                try:
+                    totals[field] += int(raw.get(field, 0))
+                except (TypeError, ValueError):
+                    pass
+        return totals
+
+    def clear(self) -> None:
+        """Delete every process's file and zero this instance."""
+        for path in self._files():
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        self.counts = dict.fromkeys(self.counts, 0)
+        self._path = None
 
 
 class _FileLock:
@@ -141,8 +206,9 @@ class ResultStore:
         self._index: Dict[str, Tuple[Path, int]] = {}
         self._scanned: Dict[str, int] = {}
         self._own_segment: Optional[Path] = None
-        self._counts = {"hits": 0, "misses": 0, "puts": 0}
-        self._counter_path: Optional[Path] = None
+        self._counters = CounterFile(
+            self.root, "stats", ("hits", "misses", "puts")
+        )
         self.refresh()
 
     # ------------------------------------------------------------------
@@ -353,47 +419,20 @@ class ResultStore:
     # counters / maintenance
     # ------------------------------------------------------------------
     def _bump(self, hits: int = 0, misses: int = 0, puts: int = 0) -> None:
-        """Fold counter deltas into this instance's own counter file.
-
-        Single-writer by construction (the file name carries a
-        per-instance nonce), published by atomic replace — no global
-        lock, so counter bookkeeping never serializes concurrent
-        readers/writers of the store.
-        """
+        """Fold counter deltas into this instance's own counter file
+        (written through on every call)."""
         if not (hits or misses or puts):
             return
         with self._lock:
-            self._counts["hits"] += hits
-            self._counts["misses"] += misses
-            self._counts["puts"] += puts
-            if self._counter_path is None:
-                self._counter_path = self.root / (
-                    f"stats-{os.getpid()}-{uuid.uuid4().hex[:8]}.json"
-                )
-            tmp = self._counter_path.with_suffix(".tmp")
-            try:
-                tmp.write_text(json.dumps(self._counts))
-                tmp.replace(self._counter_path)
-            except OSError:  # pragma: no cover - stats are best-effort
-                pass
-
-    def _read_counters(self) -> Dict[str, int]:
-        totals = {"hits": 0, "misses": 0, "puts": 0}
-        for path in self.root.glob("stats-*.json"):
-            try:
-                raw = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            for key in totals:
-                try:
-                    totals[key] += int(raw.get(key, 0))
-                except (TypeError, ValueError):
-                    pass
-        return totals
+            counts = self._counters.counts
+            counts["hits"] += hits
+            counts["misses"] += misses
+            counts["puts"] += puts
+            self._counters.write()
 
     def stats(self) -> StoreStats:
         self.refresh()
-        counters = self._read_counters()
+        counters = self._counters.totals()
         segments = self._segment_paths()
         total = 0
         for seg in segments:
@@ -415,18 +454,15 @@ class ResultStore:
         """Drop every segment and reset the shared counters."""
         with self._lock:
             with _FileLock(self.root / ".lock"):
-                for path in list(self._segment_paths()) + list(
-                    self.root.glob("stats-*.json")
-                ):
+                for path in self._segment_paths():
                     try:
                         path.unlink()
                     except OSError:
                         pass
+                self._counters.clear()
             self._index.clear()
             self._scanned.clear()
             self._own_segment = None
-            self._counts = {"hits": 0, "misses": 0, "puts": 0}
-            self._counter_path = None
 
     def __len__(self) -> int:
         return len(self._index)

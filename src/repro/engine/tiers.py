@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -175,21 +174,14 @@ class LRUTier:
 class StoreTier:
     """The cross-process tier: the disk-backed segment store.
 
-    ``prepare`` is applied to every value on the way in — the engine
-    passes its schedule-stripping transform so persisted records stay
-    compact, positional, and id-free.
+    Every value goes in through :func:`strip_for_store`, like the LRU
+    tier's, so persisted records stay compact, positional, and id-free.
     """
 
     name = "store"
 
-    def __init__(
-        self,
-        store: ResultStore,
-        *,
-        prepare: Optional[Callable[[Any], Any]] = None,
-    ) -> None:
+    def __init__(self, store: ResultStore) -> None:
         self.store = store
-        self._prepare = prepare
 
     def get(self, key: str) -> Optional[Any]:
         return self.store.get(key)
@@ -201,9 +193,9 @@ class StoreTier:
         self.put_many({key: value})
 
     def put_many(self, items: Mapping[str, Any]) -> None:
-        if self._prepare is not None:
-            items = {k: self._prepare(v) for k, v in items.items()}
-        self.store.put_many(items)
+        self.store.put_many(
+            {k: strip_for_store(v) for k, v in items.items()}
+        )
 
     def stats(self) -> Dict[str, Any]:
         s = self.store.stats()

@@ -33,7 +33,7 @@ from .clique_setcover import (
     solve_clique_setcover,
 )
 from .consecutive_dp import solve_proper_clique_dp
-from .firstfit import solve_first_fit
+from .firstfit import FIRST_FIT_GUARANTEE, solve_first_fit
 from .onesided import solve_one_sided
 
 __all__ = ["SolveResult", "route_min_busy", "solve_min_busy"]
@@ -122,4 +122,6 @@ def solve_min_busy(instance: Instance) -> SolveResult:
             solve_best_cut(instance), "bestcut", bestcut_ratio(instance.g)
         )
 
-    return SolveResult(solve_first_fit(instance), "first_fit", 4.0)
+    return SolveResult(
+        solve_first_fit(instance), "first_fit", FIRST_FIT_GUARANTEE
+    )

@@ -11,8 +11,12 @@ produce, or the tier must abort to a miss.  These tests pin all of it:
   session, and every delta expected to actually repair (hits equal the
   delta count — the kernels are deterministic, so any certification
   failure is a bug, not noise);
+* the same comparison just above each family's vectorized-FirstFit
+  threshold, where the cold solve runs the occupancy engine too;
 * abort-to-miss on unsupported deltas: two-row edits and ``g`` changes
-  fall through to a correct cold solve with zero repair hits;
+  fall through to a correct cold solve with zero repair hits, and a
+  tampered placement trace that would stack overlapping jobs on one
+  thread is refused by the engine's ``seed``;
 * exact store hits are never intercepted — the repair tier only fires
   on true misses;
 * the similarity index persists beside the store: a fresh process
@@ -31,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.api import REPAIR_ENV_VAR, EngineConfig, Session, parse_bool_env
+from repro.core.occupancy import firstfit_min_size
 from repro.engine.repair import (
     RepairTier,
     clear_repair_index,
@@ -99,10 +104,12 @@ def _ring_job(rng) -> dict:
     }
 
 
-def base_doc(family: str, seed: int) -> dict:
+def base_doc(family: str, seed: int, n: int = 10) -> dict:
+    """A FirstFit-routing instance with ``n`` random records (plus the
+    minbusy routing sentinels)."""
     rng = _rng(family, seed)
     if family == "minbusy":
-        jobs = [_interval_job(rng) for _ in range(10)]
+        jobs = [_interval_job(rng) for _ in range(n)]
         # Pin the FirstFit route: a nesting pair defeats is_proper, a
         # far-off job defeats is_clique.  Deltas never touch these.
         jobs.append({"start": 1.0, "end": 25.0, "weight": 1.0, "demand": 1})
@@ -114,7 +121,7 @@ def base_doc(family: str, seed: int) -> dict:
     if family == "capacity":
         jobs = [
             _interval_job(rng, demand=int(rng.integers(1, 4)))
-            for _ in range(10)
+            for _ in range(n)
         ]
         # Two pinned multi-demand jobs keep the demand-FirstFit route
         # alive under any single-job delta.
@@ -122,12 +129,12 @@ def base_doc(family: str, seed: int) -> dict:
         jobs[1]["demand"] = 3
         return {"g": 4, "jobs": jobs}
     if family == "rect2d":
-        return {"g": 3, "rects": [_rect(rng) for _ in range(10)]}
+        return {"g": 3, "rects": [_rect(rng) for _ in range(n)]}
     if family == "ring":
         return {
             "g": 3,
             "circumference": 1.0,
-            "jobs": [_ring_job(rng) for _ in range(10)],
+            "jobs": [_ring_job(rng) for _ in range(n)],
         }
     raise ValueError(family)
 
@@ -189,6 +196,47 @@ class TestRepairedEqualsCold:
             stats = warm.cache_stats()["repair"]
             # Deterministic kernels: every delta must actually repair.
             assert stats["hits"] == SEEDS_PER_FAMILY, stats
+        finally:
+            warm.close()
+            cold.close()
+
+
+#: Each family's vectorized-FirstFit threshold (``firstfit_min_size``
+#: variant).
+THRESHOLD_VARIANT = {
+    "minbusy": "1d",
+    "capacity": "demand",
+    "rect2d": "rect",
+    "ring": "ring",
+}
+
+
+class TestRepairedEqualsColdAboveThreshold:
+    """The sweep above uses 10-13-item instances, whose cold solves
+    never leave the scalar loop; here the cold side runs the occupancy
+    engine as well."""
+
+    @pytest.mark.parametrize("family", REPAIR_FAMILIES)
+    def test_deltas_just_above_threshold(self, family, tmp_path):
+        n = firstfit_min_size(THRESHOLD_VARIANT[family]) + 6
+        warm = Session(
+            EngineConfig(store_path=str(tmp_path), repair=True)
+        )
+        cold = Session(store_path=None)
+        try:
+            for seed in range(3):
+                base = base_doc(family, seed, n)
+                delta = delta_doc(family, seed, base)
+                warm.solve(load(family, base), family)
+                repaired = warm.solve(load(family, delta), family)
+                expected = cold.solve(
+                    load(family, delta), family, use_cache=False
+                )
+                assert canonical(repaired) == canonical(expected), (
+                    f"{family} seed {seed}: repaired result diverges "
+                    "from the cold solve"
+                )
+            assert warm.cache_stats()["repair"]["hits"] == 3
         finally:
             warm.close()
             cold.close()
@@ -258,6 +306,54 @@ class TestAbortToMiss:
         # The tampered record is the *only* one in the probed index
         # (duplicate keys across store segments have no defined
         # winner, so overwriting in place would be nondeterministic).
+        store_root = tmp_path / "store"
+        ResultStore(store_root / "simidx").put(key, rec)
+        warm = Session(
+            EngineConfig(store_path=str(store_root), repair=True)
+        )
+        cold = Session(store_path=None)
+        try:
+            got = warm.solve(load("minbusy", delta), "minbusy")
+            expected = cold.solve(
+                load("minbusy", delta), "minbusy", use_cache=False
+            )
+            assert canonical(got) == canonical(expected)
+            stats = warm.cache_stats()["repair"]
+            assert stats["hits"] == 0
+            assert stats["aborts"] == 1
+        finally:
+            warm.close()
+            cold.close()
+
+    def test_infeasible_trace_aborts(self, tmp_path):
+        """A trace passing the cheap structural checks but stacking
+        overlapping jobs on one thread is refused by the engine's
+        ``seed`` — an abort, never an infeasible repaired schedule."""
+        from repro.engine.store import ResultStore
+
+        base = {
+            "g": 3,
+            "jobs": [
+                {"start": 0.0, "end": 10.0},
+                {"start": 0.0, "end": 10.0},
+                {"start": 0.0, "end": 10.0},
+                {"start": 1.0, "end": 25.0},
+                {"start": 2.0, "end": 3.0},
+                {"start": 200.0, "end": 205.0},
+            ],
+        }
+        delta = dict(base, jobs=base["jobs"] + [{"start": 5.0, "end": 5.5}])
+        donor_root = tmp_path / "donor"
+        with Session(
+            EngineConfig(store_path=str(donor_root), repair=True)
+        ) as writer:
+            writer.solve(load("minbusy", base), "minbusy")
+        donor = ResultStore(donor_root / "simidx")
+        (key,) = donor.keys()
+        rec = dict(donor.peek(key))
+        # Every job on machine 0 thread 0: contiguous, opens on thread
+        # 0 — and infeasible.
+        rec["placed"] = [0] * len(rec["placed"])
         store_root = tmp_path / "store"
         ResultStore(store_root / "simidx").put(key, rec)
         warm = Session(
