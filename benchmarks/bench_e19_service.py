@@ -83,8 +83,11 @@ def test_e19_concurrent_service_vs_sequential_roundtrips(benchmark):
         handle = server.run_in_thread()
         try:
             port = handle.port
-            # Warm every tier with the exact bytes the load will replay.
-            with ServiceClient(port=port, timeout=60.0) as warm:
+            # Warm every tier with the exact bytes the load will replay
+            # (raw NDJSON lines, so these connections never upgrade).
+            with ServiceClient(
+                port=port, timeout=60.0, wire="ndjson"
+            ) as warm:
                 for _family, _doc, _params, payload in requests:
                     warm._sock.sendall(payload)
                     assert warm._recv()["ok"]
@@ -102,7 +105,7 @@ def test_e19_concurrent_service_vs_sequential_roundtrips(benchmark):
 
             # 2) concurrent sustained load on persistent connections.
             clients = [
-                ServiceClient(port=port, timeout=120.0)
+                ServiceClient(port=port, timeout=120.0, wire="ndjson")
                 for _ in range(N_CONNECTIONS)
             ]
             barrier = threading.Barrier(N_CONNECTIONS + 1)

@@ -16,8 +16,8 @@ bound's meaning: a span has an irreducible cost of a few
 microseconds, so overhead is only a meaningful number relative to
 requests that do work — measured against the byte-replay fast path
 (a dict lookup and a socket write) no tracing design could price in
-at 2%, which is why the traced twin of that replay tier exists in
-the server but is not what this gate measures.
+at 2%, which is why traced repeats replay from that tier (keyed
+without their ``trace`` field) but are not what this gate measures.
 
 Measurement discipline: the same batched loop runs in paired off/on
 rounds over one live in-process server, and the gate compares the

@@ -32,14 +32,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket
 import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.errors import InstanceError
 from ..service.binary import HEADER_BYTES, decode_payload, parse_header
+from ..service.client import ServiceClient, ServiceError
 from ..service.protocol import (
     MAX_LINE_BYTES,
     decode,
@@ -412,20 +413,27 @@ async def _drive(state: _RunState) -> None:
 # stats snapshots (blocking; runs outside the timed traffic phase)
 # ----------------------------------------------------------------------
 
-def _blocking_request(
+def _ask(
     host: str, port: int, doc: Dict[str, Any], timeout: float
 ) -> Optional[Dict[str, Any]]:
+    """One NDJSON round trip; ``None`` when the endpoint is unreachable.
+
+    A server-side error comes back as its ``ok: false`` document (the
+    shape the validator reads); only transport failures and protocol
+    errors on the connection (an over-long line) count as unreachable.
+    """
     try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            sock.sendall(encode(doc))
-            buf = b""
-            while b"\n" not in buf:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    return None
-                buf += chunk
-            return decode(buf.split(b"\n", 1)[0] + b"\n")
-    except (OSError, Exception):
+        with ServiceClient(
+            host, port, timeout=timeout, wire="ndjson"
+        ) as client:
+            try:
+                return client.request(doc)
+            except ServiceError as exc:
+                return {
+                    "ok": False,
+                    "error": {"type": exc.type, "message": exc.message},
+                }
+    except (OSError, InstanceError):
         return None
 
 
@@ -434,9 +442,7 @@ def _fleet_stats(
 ) -> Dict[str, Dict[str, Any]]:
     out: Dict[str, Dict[str, Any]] = {}
     for host, port in targets:
-        resp = _blocking_request(
-            host, port, {"op": "cache_stats"}, timeout
-        )
+        resp = _ask(host, port, {"op": "cache_stats"}, timeout)
         if resp and resp.get("ok"):
             out[f"{host}:{port}"] = resp.get("stats", {})
     return out
@@ -666,7 +672,7 @@ def _live_check(
     if not use_cache:
         request["cache"] = False
     for host, port in options.targets:
-        response = _blocking_request(host, port, request, options.timeout)
+        response = _ask(host, port, request, options.timeout)
         if response is not None:
             return response
     return None

@@ -50,6 +50,7 @@ in-process solves (the tier-2 smoke test asserts exactly that).
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Mapping, Optional
 
 from ..core.errors import InstanceError
@@ -77,6 +78,7 @@ __all__ = [
     "resolve_wire",
     "result_to_doc",
     "params_from_doc",
+    "deadline_from_doc",
     "error_doc",
     "health_doc",
 ]
@@ -197,6 +199,34 @@ def params_from_doc(
         except (TypeError, ValueError) as exc:
             raise InstanceError(f"bad budget: {exc}") from exc
     return out
+
+
+def deadline_from_doc(
+    doc: Mapping[str, Any], default: Optional[float] = None
+) -> Optional[float]:
+    """A request's ``deadline`` in seconds (``default`` when absent).
+
+    Checked like :class:`~repro.api.EngineConfig`'s deadline — seconds
+    above zero, or ``null`` for unbounded — and, as it arrives as
+    untyped JSON, also a finite real number: strings, lists and
+    booleans raise InstanceError naming the field.
+    """
+    if "deadline" not in doc:
+        return default
+    value = doc["deadline"]
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise InstanceError(
+            "deadline must be a finite number of seconds > 0 or null, "
+            f"got {value!r}"
+        )
+    return float(value)
 
 
 def health_doc(server: Any) -> Dict[str, Any]:

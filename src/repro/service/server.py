@@ -27,6 +27,15 @@ with the request's ``id``) are written under a per-connection lock.
 Every per-request failure becomes an error *response line* — a bad
 request never tears down the connection, let alone the server.
 
+Both framings (NDJSON lines, negotiated binary frames) only cut bytes
+off the socket; one request step then runs replay probe -> decode ->
+hello -> dispatch for either.  The replay tier is one LRU of
+pre-encoded ``solve`` responses keyed on the request minus its
+envelope (``id``, ``trace``, ``deadline``): a request without an
+envelope keys on its raw bytes and is answered before decoding, while
+an id-carrying, traced or deadline-bearing repeat finds the same entry
+after decoding and gets it back with its own id (and spans).
+
 ``repro serve`` is the CLI front end; tests and benchmarks use
 :func:`SolveServer.run_in_thread` to host a live server in-process.
 """
@@ -35,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import signal
 import threading
 from typing import Any, Awaitable, Callable, Dict, List, Optional
@@ -54,6 +62,7 @@ from .binary import (
     TRACE_VERSION,
     WIRE_VERSION,
     InternPool,
+    decode_binary,
     decode_payload,
     encode_binary,
     intern_frame,
@@ -62,6 +71,7 @@ from .binary import (
 )
 from .protocol import (
     MAX_LINE_BYTES,
+    deadline_from_doc,
     decode,
     encode,
     error_doc,
@@ -78,6 +88,56 @@ _REQUESTS = obs_metrics.counter(
     "Wire requests handled, by op and status",
     labels=("op", "status"),
 )
+
+#: Per-request fields that never change a solve's answer; the replay
+#: tier keys on the request without them.
+_ENVELOPE = ("id", "trace", "deadline")
+
+
+class _Connection:
+    """One client connection: its negotiated state and its writer.
+
+    ``wire`` flips from ``"ndjson"`` to ``"binary"`` on an accepted
+    hello (after in-flight responses drain, so every response before
+    the flip is a line and every one after is a frame); ``tx``/``rx``
+    are the column-intern pools (responses out / requests in) when the
+    hello negotiated interning, and ``trace`` whether it negotiated
+    trace propagation.
+    """
+
+    def __init__(
+        self, writer: asyncio.StreamWriter, transport: Dict[str, int]
+    ) -> None:
+        self.writer = writer
+        self.transport = transport
+        self.lock = asyncio.Lock()
+        self.wire = "ndjson"
+        self.trace = False
+        self.tx: Optional[InternPool] = None
+        self.rx: Optional[InternPool] = None
+        self.counted = False  # tallied in *_connections yet
+        self.tasks: List["asyncio.Task"] = []
+
+    async def send(self, doc: Dict[str, Any]) -> None:
+        await self.send_bytes(
+            encode_binary(doc) if self.wire == "binary" else encode(doc)
+        )
+
+    async def send_bytes(self, data: bytes) -> None:
+        async with self.lock:
+            if self.wire == "binary":
+                # Interning covers every outgoing frame — fresh
+                # encodings and replays alike (the replay tier stores
+                # canonical frames) — so the client's receive pool sees
+                # one deterministic blob sequence.  It runs under the
+                # write lock: pool registration order must match write
+                # order, or a REF could reach the client before its raw
+                # bytes.
+                if self.tx is not None:
+                    data = intern_frame(data, self.tx, self.transport)
+                self.transport["binary_bytes_out"] += len(data)
+            self.writer.write(data)
+            await self.writer.drain()
 
 
 class SolveServer:
@@ -177,24 +237,17 @@ class SolveServer:
             deadline=deadline,
             delegate=getattr(session, "default_executor", None),
         )
-        # The wire tier: exact request line bytes -> pre-encoded
-        # response bytes.  The engine's tiered cache dedupes *solves*;
-        # this dedupes the serving work around them (JSON decode,
-        # instance rebuild, normalization, fingerprinting, result
-        # serialization), so a warm repeated request costs one dict
-        # lookup and one socket write.  Sound for the same reason the
-        # engine tiers are: responses are pure functions of request
-        # content and never mutated; keys are the literal bytes, so a
-        # request that differs at all — even in field order — simply
-        # misses and takes the full path.
+        # The wire (replay) tier: envelope-free request bytes ->
+        # pre-encoded bare response bytes (see _replay_key).  The
+        # engine's tiered cache dedupes *solves*; this dedupes the
+        # serving work around them (JSON decode, instance rebuild,
+        # normalization, fingerprinting, result serialization), so a
+        # warm plain repeat costs one dict lookup and one socket write.
+        # Sound for the same reason the engine tiers are: responses are
+        # pure functions of request content and never mutated; keys are
+        # literal bytes, so a request that differs at all — even in
+        # field order — simply misses and takes the full path.
         self.response_cache = LRUCache(response_cache_size)
-        # The traced twin of the byte-keyed replay tier.  A traced
-        # request's raw bytes embed a fresh span id every time, so it
-        # can never hit the byte tier; keying the *canonical request
-        # document minus trace/id* lets warm traced traffic replay the
-        # result doc (plus its own fresh spans) instead of paying a
-        # full dispatch — this is what keeps the E23 overhead budget.
-        self._traced_replay = LRUCache(response_cache_size)
         # Keys whose install is currently in flight.  Coalesced waiters
         # all resume at once when a shared solve lands; the first to
         # reach the install step claims the key here (atomic between
@@ -301,83 +354,69 @@ class SolveServer:
         return result
 
     @staticmethod
-    def _wire_cacheable(doc: Dict[str, Any]) -> bool:
-        """Whether a request's response may be replayed byte-for-byte.
+    def _replay_key(
+        doc: Dict[str, Any], raw: bytes, wire: str
+    ) -> Optional[bytes]:
+        """The replay-tier key of a decoded request; ``None`` = never
+        replayed.
 
-        Only plain cached ``solve`` requests qualify; ``id``,
-        ``deadline`` and ``trace`` are per-request fields, so their
-        presence opts the request out of the wire tier (it still hits
-        the engine tiers).
+        Only cached ``solve`` requests qualify.  The envelope varies
+        per request while the answer does not, so it is split out: a
+        request without one keys on its raw bytes (probed before
+        decoding), one with an envelope on its document minus the
+        envelope, re-encoded in the request's framing — exactly the
+        bytes the same request sends without it, so both share one
+        entry.  A malformed envelope is never replayed; the handler
+        answers its error.
         """
-        return (
-            doc.get("op") == "solve"
-            and bool(doc.get("cache", True))
-            and "id" not in doc
-            and "deadline" not in doc
-            and "trace" not in doc
-        )
-
-    @staticmethod
-    def _traced_replay_key(doc: Dict[str, Any]) -> Optional[str]:
-        """The canonical cache key for a traced solve, or ``None``.
-
-        Mirrors :meth:`_wire_cacheable`'s eligibility (plain cached
-        ``solve``, no deadline) but tolerates ``trace`` and ``id`` by
-        excluding them from the key — both vary per request while the
-        answer does not.
-        """
-        if (
-            doc.get("op") != "solve"
-            or not doc.get("cache", True)
-            or "deadline" in doc
-        ):
+        if doc.get("op") != "solve" or not doc.get("cache", True):
             return None
+        if doc.keys().isdisjoint(_ENVELOPE):
+            return raw
         try:
-            return json.dumps(
-                {
-                    key: value
-                    for key, value in doc.items()
-                    if key not in ("trace", "id")
-                },
-                sort_keys=True,
-            )
-        except (TypeError, ValueError):
+            deadline_from_doc(doc)
+            bare = {k: v for k, v in doc.items() if k not in _ENVELOPE}
+            return encode_binary(bare) if wire == "binary" else encode(bare)
+        except InstanceError:
             return None
 
     async def _handle_solve(
         self,
         doc: Dict[str, Any],
         send: Send,
-        raw: Optional[bytes] = None,
-        wire: str = "ndjson",
+        wire: str,
+        key: Optional[bytes],
+        entry: Optional[bytes],
     ) -> None:
         from ..engine.engine import plan_solve
 
+        deadline = deadline_from_doc(doc, self.deadline)
+        if entry is not None:
+            # A replayed repeat that carries an envelope: the stored
+            # bare response, plus this request's own id.
+            body = decode_binary(entry) if wire == "binary" else decode(entry)
+            await send({**body, "id": doc.get("id")})
+            return
         objective = self._canonical_objective(doc)
         use_cache = bool(doc.get("cache", True))
         params = params_from_doc(objective, doc.get("params"))
         inst = objective_instance_from_dict(doc.get("instance"), objective)
         plan = await asyncio.to_thread(plan_solve, inst, objective, params)
         result = await self._solve_one(
-            plan,
-            use_cache=use_cache,
-            deadline=doc.get("deadline", self.deadline),
+            plan, use_cache=use_cache, deadline=deadline
         )
         result_doc = self._result_doc(result)
-        if raw is not None and self._wire_cacheable(doc):
-            # Install the fully-encoded replay: a repeat of these exact
-            # request bytes is answered straight from the read loop.
-            # Replays *are* cache hits, whichever tier first served us.
-            # The stored bytes match the requesting connection's wire
-            # format — a binary request keys a pre-encoded binary
-            # frame, an NDJSON line keys a line — so replay is a pure
-            # write with no re-encoding on either format.
+        if key is not None:
+            # Install the fully-encoded bare response.  Replays *are*
+            # cache hits, whichever tier first served us.  The stored
+            # bytes match the requesting connection's wire format, so
+            # a plain replay is a pure write with no re-encoding.
             body = {
                 "ok": True,
                 "result": {**result_doc, "from_cache": True},
             }
             self.response_cache.put(
-                raw,
+                key,
                 encode_binary(body) if wire == "binary" else encode(body),
             )
         await send(
@@ -389,6 +428,7 @@ class SolveServer:
     ) -> None:
         from ..engine.engine import plan_solve
 
+        deadline = deadline_from_doc(doc, self.deadline)
         objective = self._canonical_objective(doc)
         params = params_from_doc(objective, doc.get("params"))
         docs = doc.get("instances")
@@ -400,7 +440,6 @@ class SolveServer:
             objective_instance_from_dict(d, objective) for d in docs
         ]
         use_cache = bool(doc.get("cache", True))
-        deadline = doc.get("deadline", self.deadline)
         request_id = doc.get("id")
 
         if self.backend == "async":
@@ -547,7 +586,6 @@ class SolveServer:
     def _collect_stats(self) -> Dict[str, Any]:
         """The full ``cache_stats`` document (sync; call off-loop)."""
         stats = self.session.cache_stats()
-        info = self.response_cache.info()
         by_format: Dict[str, Any] = {}
         for fmt, tier in self._wire_tier.items():
             total = tier["hits"] + tier["misses"]
@@ -557,10 +595,10 @@ class SolveServer:
                 "hit_rate": (tier["hits"] / total) if total else 0.0,
             }
         stats["wire"] = {
-            "hits": info.hits,
-            "misses": info.misses,
-            "size": info.size,
-            "maxsize": info.maxsize,
+            "hits": sum(t["hits"] for t in self._wire_tier.values()),
+            "misses": sum(t["misses"] for t in self._wire_tier.values()),
+            "size": len(self.response_cache),
+            "maxsize": self.response_cache.maxsize,
             "by_format": by_format,
         }
         stats["wire_transport"] = {
@@ -604,70 +642,45 @@ class SolveServer:
     async def _dispatch(
         self,
         doc: Dict[str, Any],
-        send: Send,
-        raw: Optional[bytes] = None,
-        wire: str = "ndjson",
-        trace_ok: bool = False,
+        conn: _Connection,
+        key: Optional[bytes],
+        entry: Optional[bytes],
     ) -> None:
         self._active_requests += 1
         try:
-            trace_doc = doc.get("trace") if trace_ok else None
+            trace_doc = doc.get("trace") if conn.trace else None
             if trace_doc is None or not obs_trace.tracing_enabled():
-                await self._dispatch_inner(doc, send, raw, wire)
+                await self._dispatch_inner(
+                    doc, conn.send, conn.wire, key, entry
+                )
                 return
             # A traced request: adopt the client's context so server-side
             # spans chain under its sending span, collect everything this
             # request records (including spans finished in to_thread
             # workers — the scope list is shared by reference), and ship
             # the collection back on the *final* response — the single
-            # reply of a solve, the done line of a solve_many stream, or
-            # the error doc — which is exactly the non-``seq`` one.
+            # reply of a solve (a replay included), the done line of a
+            # solve_many stream, or the error doc — which is exactly the
+            # non-``seq`` one.
             final: List[Dict[str, Any]] = []
 
             async def traced_send(out: Dict[str, Any]) -> None:
                 if "seq" in out:
-                    await send(out)
+                    await conn.send(out)
                 else:
                     final.append(out)
 
-            replay_key = self._traced_replay_key(doc)
             scope = obs_trace.recording_scope()
             with scope as spans:
                 with obs_trace.adopted(trace_doc):
                     with obs_trace.span(
                         f"server.{doc.get('op')}", port=self.port
                     ):
-                        cached = (
-                            self._traced_replay.get(replay_key)
-                            if replay_key is not None
-                            else None
+                        await self._dispatch_inner(
+                            doc, traced_send, conn.wire, key, entry
                         )
-                        if cached is not None:
-                            self._wire_tier[wire]["hits"] += 1
-                            final.append(
-                                {
-                                    "ok": True,
-                                    "result": {
-                                        **cached,
-                                        "from_cache": True,
-                                    },
-                                    "id": doc.get("id"),
-                                }
-                            )
-                        else:
-                            await self._dispatch_inner(
-                                doc, traced_send, raw, wire
-                            )
-            if (
-                replay_key is not None
-                and cached is None
-                and final
-                and final[0].get("ok")
-                and "result" in final[0]
-            ):
-                self._traced_replay.put(replay_key, final[0]["result"])
             for out in final:
-                await send({**out, "trace": {"spans": spans}})
+                await conn.send({**out, "trace": {"spans": spans}})
         finally:
             self._active_requests -= 1
 
@@ -675,14 +688,15 @@ class SolveServer:
         self,
         doc: Dict[str, Any],
         send: Send,
-        raw: Optional[bytes] = None,
-        wire: str = "ndjson",
+        wire: str,
+        key: Optional[bytes],
+        entry: Optional[bytes],
     ) -> None:
         op = doc.get("op")
         status = "ok"
         try:
             if op == "solve":
-                await self._handle_solve(doc, send, raw, wire)
+                await self._handle_solve(doc, send, wire, key, entry)
             elif op == "solve_many":
                 await self._handle_solve_many(doc, send)
             elif op == "cache_stats":
@@ -753,35 +767,53 @@ class SolveServer:
             remaining -= len(chunk)
         return True
 
-    async def _read_binary_frame(
-        self,
-        reader: asyncio.StreamReader,
-        send: Send,
-        send_bytes: Callable[[bytes], Awaitable[None]],
-        tasks: List["asyncio.Task"],
-        intern: Optional[Dict[str, Optional[InternPool]]] = None,
-        trace_ok: bool = False,
-    ) -> bool:
-        """One iteration of the binary read loop; True = close.
+    async def _read_line(
+        self, reader: asyncio.StreamReader, conn: _Connection
+    ) -> Optional[bytes]:
+        """The NDJSON framing: the next request line.
+
+        ``b""`` means nothing to serve (a blank line, or an over-limit
+        one answered and drained here); ``None`` means close.
+        """
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError:
+            await conn.send(
+                error_doc(
+                    InstanceError(
+                        f"request line exceeds {self.max_line_bytes} "
+                        "bytes; split the batch or negotiate --wire "
+                        "binary"
+                    )
+                )
+            )
+            return b"" if await self._drain_oversize_line(reader) else None
+        return line if line.strip() else b""
+
+    async def _read_frame(
+        self, reader: asyncio.StreamReader, conn: _Connection
+    ) -> Optional[bytes]:
+        """The binary framing: the next whole frame, header included.
 
         Recoverable per-frame problems — over-limit length (drained),
-        version skew, unknown opcode, malformed payload — answer with
-        an error response and keep the connection; only EOF and a bad
-        magic (the stream cannot be resynced without trusting the
-        length field of a frame that failed its first sanity check)
-        are fatal.
+        version skew — are answered here and return ``b""``; ``None``
+        means close: EOF, or a bad magic (the stream cannot be resynced
+        without trusting the length field of a frame that failed its
+        first sanity check).
         """
         try:
             header = await reader.readexactly(HEADER_BYTES)
         except asyncio.IncompleteReadError:
-            return True
+            return None
         try:
             version, opcode, length = parse_header(header)
         except InstanceError as exc:  # bad magic: stream unsyncable
-            await send(error_doc(exc))
-            return True
+            await conn.send(error_doc(exc))
+            return None
         if length > self.max_line_bytes:
-            await send(
+            await conn.send(
                 error_doc(
                     InstanceError(
                         f"frame of {length} bytes exceeds "
@@ -789,21 +821,20 @@ class SolveServer:
                     )
                 )
             )
-            return not await self._drain_bytes(reader, length)
+            return b"" if await self._drain_bytes(reader, length) else None
         try:
             payload = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
-            return True
+            return None
         self._wire_transport["binary_bytes_in"] += HEADER_BYTES + length
-        rx = intern.get("rx") if intern else None
+        rx = conn.rx
         if rx is not None and opcode == OP_DOC and version == WIRE_VERSION:
             # Registration must see *every* frame, including the ones
-            # the replay cache answers below without decoding —
-            # skipping those would desync this pool from the client's
-            # send pool.
+            # the replay tier answers without decoding — skipping those
+            # would desync this pool from the client's send pool.
             rx.observe(payload)
         if version != WIRE_VERSION:
-            await send(
+            await conn.send(
                 error_doc(
                     InstanceError(
                         f"unsupported wire version {version} "
@@ -811,216 +842,125 @@ class SolveServer:
                     )
                 )
             )
-            return False
-        frame = header + payload
-        replay = self.response_cache.get(frame)
-        if replay is not None:
-            self._wire_tier["binary"]["hits"] += 1
-            await send_bytes(replay)
-            return False
-        self._wire_tier["binary"]["misses"] += 1
+            return b""
+        return header + payload
+
+    @staticmethod
+    def _decode(conn: _Connection, raw: bytes) -> Dict[str, Any]:
+        """One request line or frame as a document; InstanceError if
+        malformed."""
+        if conn.wire == "ndjson":
+            return decode(raw)
+        _, opcode, _ = parse_header(raw)
         if opcode != OP_DOC:
-            await send(
-                error_doc(
-                    InstanceError(f"unknown frame opcode {opcode}")
-                )
-            )
-            return False
+            raise InstanceError(f"unknown frame opcode {opcode}")
+        return decode_payload(memoryview(raw)[HEADER_BYTES:], intern=conn.rx)
+
+    def _count(self, conn: _Connection, hit: bool) -> None:
+        """Tally one request (any but a hello) as a replay hit or miss."""
+        self._wire_tier[conn.wire]["hits" if hit else "misses"] += 1
+        if not conn.counted:
+            conn.counted = True
+            self._wire_transport["ndjson_connections"] += 1
+
+    async def _serve(self, conn: _Connection, raw: bytes) -> None:
+        """The request step both framings share: replay probe ->
+        decode -> hello -> dispatch."""
+        # A plain repeat: these exact bytes were answered before —
+        # replay the pre-encoded response with no parsing, no task and
+        # no engine.
+        entry = self.response_cache.get(raw)
+        if entry is not None:
+            self._count(conn, hit=True)
+            await conn.send_bytes(entry)
+            return
         try:
-            doc = decode_payload(payload, intern=rx)
+            doc = self._decode(conn, raw)
         except InstanceError as exc:
-            await send(error_doc(exc))
-            return False
-        if doc.get("op") == "hello":  # re-hello after upgrade: confirm
+            self._count(conn, hit=False)
+            await conn.send(error_doc(exc))
+            return
+        if doc.get("op") == "hello":
+            await self._hello(conn, doc)
+            return
+        key = self._replay_key(doc, raw, conn.wire)
+        if key is not None and key is not raw:
+            entry = self.response_cache.get(key)  # an enveloped repeat
+        self._count(conn, hit=entry is not None)
+        # Pipelined requests on one connection run concurrently;
+        # responses carry the request id.
+        conn.tasks[:] = [t for t in conn.tasks if not t.done()]
+        conn.tasks.append(
+            asyncio.ensure_future(self._dispatch(doc, conn, key, entry))
+        )
+
+    async def _hello(self, conn: _Connection, doc: Dict[str, Any]) -> None:
+        """Answer a capability hello: the NDJSON upgrade request, or a
+        re-hello on an upgraded connection (which confirms).
+
+        Outstanding pipelined responses drain first so no line-format
+        response crosses the flip.
+        """
+        pending = [t for t in conn.tasks if not t.done()]
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        upgrade = (
+            conn.wire == "ndjson"
+            and self.wire != "ndjson"
+            and doc.get("wire") in ("binary", "auto")
+            and doc.get("version") == WIRE_VERSION
+        )
+        # Trace propagation negotiates independently of the frame
+        # upgrade (an NDJSON-pinned client still sends the hello for it)
+        # and is only acked when this server records spans at all.
+        conn.trace = (
+            doc.get("trace") == TRACE_VERSION
+            and obs_trace.tracing_enabled()
+        )
+        if upgrade or conn.wire == "binary":
             reply = {
                 "ok": True,
                 "wire": "binary",
                 "version": WIRE_VERSION,
                 "id": doc.get("id"),
             }
-            if rx is not None:
-                reply["intern"] = INTERN_VERSION
-            if (
-                doc.get("trace") == TRACE_VERSION
-                and obs_trace.tracing_enabled()
+            # Column interning is a sub-negotiation of the binary
+            # upgrade: active only when the client advertised the same
+            # extension version.
+            if conn.rx is not None or (
+                upgrade and doc.get("intern") == INTERN_VERSION
             ):
-                reply["trace"] = TRACE_VERSION
-            await send(reply)
-            return False
-        task = asyncio.ensure_future(
-            self._dispatch(doc, send, frame, "binary", trace_ok)
-        )
-        tasks.append(task)
-        done = [t for t in tasks if t.done()]
-        for t in done:
-            tasks.remove(t)
-        return False
+                reply["intern"] = INTERN_VERSION
+        else:
+            reply = {"ok": True, "wire": "ndjson", "id": doc.get("id")}
+        if conn.trace:
+            reply["trace"] = TRACE_VERSION
+        await conn.send(reply)
+        if upgrade:
+            if "intern" in reply:
+                conn.tx, conn.rx = InternPool(), InternPool()
+                self._wire_transport["intern_connections"] += 1
+            conn.wire = "binary"
+            conn.counted = True
+            self._wire_transport["binary_connections"] += 1
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        write_lock = asyncio.Lock()
-        # Per-connection negotiated wire format; flipped by a hello
-        # upgrade (after in-flight responses drain, so every response
-        # before the flip is a line and every one after is a frame).
-        # ``intern`` holds the connection's column pools when the hello
-        # negotiated the interning extension (tx = responses out,
-        # rx = requests in).
-        state = {"wire": "ndjson"}
-        intern: Dict[str, Optional[InternPool]] = {"tx": None, "rx": None}
-        counted = False
-
-        async def send(doc: Dict[str, Any]) -> None:
-            data = (
-                encode_binary(doc)
-                if state["wire"] == "binary"
-                else encode(doc)
-            )
-            await send_bytes(data)
-
-        async def send_bytes(data: bytes) -> None:
-            async with write_lock:
-                if state["wire"] == "binary":
-                    # Interning covers every outgoing frame — fresh
-                    # encodings and wire-tier replays alike (the replay
-                    # cache stores canonical frames) — so the client's
-                    # receive pool sees one deterministic blob
-                    # sequence.  It runs under the write lock: pool
-                    # registration order must match write order, or a
-                    # REF could reach the client before its raw bytes.
-                    tx = intern["tx"]
-                    if tx is not None:
-                        data = intern_frame(
-                            data, tx, self._wire_transport
-                        )
-                    self._wire_transport["binary_bytes_out"] += len(data)
-                writer.write(data)
-                await writer.drain()
-
-        tasks: List[asyncio.Task] = []
+        conn = _Connection(writer, self._wire_transport)
         cancelled = False
         try:
             while True:
-                if state["wire"] == "binary":
-                    stop = await self._read_binary_frame(
-                        reader,
-                        send,
-                        send_bytes,
-                        tasks,
-                        intern,
-                        state.get("trace", False),
-                    )
-                    if stop:
-                        break
-                    continue
-                try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError:
-                    break
-                except asyncio.LimitOverrunError:
-                    await send(
-                        error_doc(
-                            InstanceError(
-                                f"request line exceeds "
-                                f"{self.max_line_bytes} bytes; split "
-                                "the batch or negotiate --wire binary"
-                            )
-                        )
-                    )
-                    if not await self._drain_oversize_line(reader):
-                        break
-                    continue
-                if not line.strip():
-                    continue
-                # Wire-tier fast path: these exact bytes were answered
-                # before — replay the pre-encoded response from the
-                # read loop, no parsing, no task, no engine.
-                replay = self.response_cache.get(line)
-                if replay is not None:
-                    self._wire_tier["ndjson"]["hits"] += 1
-                    if not counted:
-                        counted = True
-                        self._wire_transport["ndjson_connections"] += 1
-                    await send_bytes(replay)
-                    continue
-                try:
-                    doc = decode(line)
-                except InstanceError as exc:
-                    await send(error_doc(exc))
-                    continue
-                if doc.get("op") == "hello":
-                    # Capability negotiation rides NDJSON both ways.
-                    # Outstanding pipelined responses drain first so
-                    # no line-format response crosses the flip.
-                    pending = [t for t in tasks if not t.done()]
-                    if pending:
-                        await asyncio.gather(
-                            *pending, return_exceptions=True
-                        )
-                    accept = (
-                        self.wire != "ndjson"
-                        and doc.get("wire") in ("binary", "auto")
-                        and doc.get("version") == WIRE_VERSION
-                    )
-                    # Trace propagation negotiates independently of the
-                    # frame upgrade (an NDJSON-pinned client still
-                    # sends the hello for it) and is only acked when
-                    # this server records spans at all.
-                    trace_ack = (
-                        doc.get("trace") == TRACE_VERSION
-                        and obs_trace.tracing_enabled()
-                    )
-                    state["trace"] = trace_ack
-                    if accept:
-                        reply = {
-                            "ok": True,
-                            "wire": "binary",
-                            "version": WIRE_VERSION,
-                            "id": doc.get("id"),
-                        }
-                        # Column interning is a sub-negotiation of the
-                        # binary upgrade: active only when the client
-                        # advertised the same extension version.
-                        if doc.get("intern") == INTERN_VERSION:
-                            reply["intern"] = INTERN_VERSION
-                        if trace_ack:
-                            reply["trace"] = TRACE_VERSION
-                        await send(reply)
-                        if reply.get("intern") is not None:
-                            intern["tx"] = InternPool()
-                            intern["rx"] = InternPool()
-                            self._wire_transport[
-                                "intern_connections"
-                            ] += 1
-                        state["wire"] = "binary"
-                        counted = True
-                        self._wire_transport["binary_connections"] += 1
-                    else:
-                        decline = {
-                            "ok": True,
-                            "wire": "ndjson",
-                            "id": doc.get("id"),
-                        }
-                        if trace_ack:
-                            decline["trace"] = TRACE_VERSION
-                        await send(decline)
-                    continue
-                self._wire_tier["ndjson"]["misses"] += 1
-                if not counted:
-                    counted = True
-                    self._wire_transport["ndjson_connections"] += 1
-                # Pipelined requests on one connection run concurrently;
-                # response lines carry the request id.
-                task = asyncio.ensure_future(
-                    self._dispatch(
-                        doc,
-                        send,
-                        line,
-                        trace_ok=state.get("trace", False),
-                    )
+                read = (
+                    self._read_frame
+                    if conn.wire == "binary"
+                    else self._read_line
                 )
-                tasks.append(task)
-                tasks = [t for t in tasks if not t.done()]
+                raw = await read(reader, conn)
+                if raw is None:
+                    break
+                if raw:
+                    await self._serve(conn, raw)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -1029,13 +969,13 @@ class SolveServer:
             cancelled = True
         finally:
             if cancelled:
-                for task in tasks:
+                for task in conn.tasks:
                     task.cancel()
             # A half-closed client (EOF on reads, still listening) gets
             # its remaining pipelined responses before the close.
             try:
-                if tasks:
-                    await asyncio.gather(*tasks, return_exceptions=True)
+                if conn.tasks:
+                    await asyncio.gather(*conn.tasks, return_exceptions=True)
             except asyncio.CancelledError:
                 pass
             writer.close()

@@ -21,7 +21,7 @@ import subprocess
 
 import pytest
 
-from repro.api import RemoteSession
+from repro.api import RemoteSession, Session
 from repro.obs import expo, metrics as obs_metrics, trace as obs_trace
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
@@ -32,7 +32,11 @@ from repro.obs.metrics import (
 )
 from repro.service.client import ServiceClient
 from repro.service.server import SolveServer
-from tests.helpers import family_instance, spawn_serve_subprocess
+from tests.helpers import (
+    family_instance,
+    family_request,
+    spawn_serve_subprocess,
+)
 
 
 @pytest.fixture()
@@ -346,6 +350,45 @@ class TestWire:
             for s in m["samples"]
         )
         assert total > single  # summed, not last-write-wins
+
+
+class TestTracedReplay:
+    """Traced repeats replay from the one replay tier, spans included."""
+
+    @pytest.fixture()
+    def port(self):
+        server = SolveServer(port=0, session=Session(store_path=None))
+        with server.run_in_thread() as handle:
+            yield handle.port
+
+    def test_traced_warm_solves_keep_wire_counters_consistent(
+        self, tracing, port
+    ):
+        doc, _ = family_request("capacity", 31)
+        for wire in ("ndjson", "binary"):
+            with ServiceClient(port=port, wire=wire) as client:
+                assert client.trace_ok
+                for _ in range(4):
+                    with obs_trace.span("test.root"):
+                        client.solve(doc, "capacity")
+        with ServiceClient(port=port, wire="ndjson") as client:
+            stats = client.cache_stats()["wire"]
+        by_format = stats["by_format"].values()
+        assert stats["hits"] == sum(f["hits"] for f in by_format) >= 6
+        assert stats["misses"] == sum(f["misses"] for f in by_format)
+        assert stats["size"] >= 1
+
+    def test_traced_hit_returns_a_server_solve_span(self, tracing, port):
+        doc, _ = family_request("ring", 32)
+        with ServiceClient(port=port, wire="ndjson") as client:
+            client.solve(doc, "ring")
+            hits = client.cache_stats()["wire"]["hits"]
+            with obs_trace.span("test.root") as root:
+                warm = client.solve(doc, "ring")
+            assert client.cache_stats()["wire"]["hits"] == hits + 1
+        assert warm["from_cache"]
+        names = {s["name"] for s in obs_trace.trace_spans(root.trace_id)}
+        assert "server.solve" in names
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,95 @@ class TestServiceOps:
         assert wire_canonical(a) == wire_canonical(b)
 
 
+def _solve_request(doc: dict, objective: str, **envelope) -> dict:
+    """The request ``ServiceClient.solve`` sends, plus envelope fields."""
+    return {
+        "op": "solve",
+        "objective": objective,
+        "instance": doc,
+        "cache": True,
+        **envelope,
+    }
+
+
+def _wire(client) -> dict:
+    return client.cache_stats()["wire"]
+
+
+class TestReplayTier:
+    """One replay tier: plain, id-carrying and deadline-bearing repeats
+    of a solve share one entry keyed on the request minus its envelope."""
+
+    @pytest.fixture()
+    def fresh(self):
+        handle = SolveServer(
+            port=0, session=Session(store_path=None)
+        ).run_in_thread()
+        yield handle
+        handle.stop()
+
+    def test_repeated_id_solve_is_a_hit_echoing_its_own_id(self, fresh):
+        doc, _ = family_request("capacity", 21)
+        with client_for(fresh, wire="ndjson") as c:
+            cold = c.request(_solve_request(doc, "capacity", id=1))
+            before = _wire(c)
+            warm = c.request(_solve_request(doc, "capacity", id=2))
+            after = _wire(c)
+        assert (cold["id"], warm["id"]) == (1, 2)
+        assert not cold["result"]["from_cache"]
+        assert warm["result"]["from_cache"]
+        assert wire_canonical(warm["result"]) == wire_canonical(
+            cold["result"]
+        )
+        assert after["hits"] == before["hits"] + 1
+        assert after["size"] == before["size"]
+
+    def test_id_repeat_shares_the_plain_entry(self, fresh):
+        doc, _ = family_request("ring", 22)
+        with client_for(fresh, wire="ndjson") as c:
+            plain = c.solve(doc, "ring")
+            before = _wire(c)
+            enveloped = c.request(
+                _solve_request(doc, "ring", id="abc", deadline=30.0)
+            )
+            after = _wire(c)
+        assert enveloped["id"] == "abc"
+        assert enveloped["result"]["from_cache"]
+        assert wire_canonical(enveloped["result"]) == wire_canonical(plain)
+        assert after["size"] == before["size"] >= 1
+        assert after["hits"] == before["hits"] + 1
+
+    def test_hits_and_misses_are_the_by_format_sums(self, fresh):
+        doc, _ = family_request("minbusy", 23)
+        with client_for(fresh, wire="ndjson") as c:
+            for request_id in (None, 1, 2, None):
+                c.request(_solve_request(doc, "minbusy", id=request_id))
+            wire = _wire(c)
+        by_format = wire["by_format"].values()
+        assert wire["hits"] == sum(f["hits"] for f in by_format) == 3
+        assert wire["misses"] == sum(f["misses"] for f in by_format)
+
+    @pytest.mark.parametrize(
+        "bad", ["abc", [1], True, 0, -2.5, float("inf")]
+    )
+    def test_malformed_deadline_fails_alike_cold_and_warm(self, fresh, bad):
+        doc, _ = family_request("flexible", 24)
+        with client_for(fresh, wire="ndjson") as c:
+            errors = []
+            for _ in range(2):  # before and after the content is warm
+                for call in (c.solve, c.solve_many):
+                    arg = doc if call is c.solve else [doc]
+                    with pytest.raises(ServiceError) as excinfo:
+                        call(arg, "flexible", deadline=bad)
+                    errors.append(excinfo.value)
+                c.solve(doc, "flexible")
+                c.solve_many([doc], "flexible")
+            assert c.solve(doc, "flexible", deadline=5)["from_cache"]
+        assert {e.type for e in errors} == {"InstanceError"}
+        assert len({e.message for e in errors}) == 1
+        assert "deadline" in errors[0].message
+
+
 class TestServiceErrors:
     def test_unknown_objective(self, server):
         doc, _ = family_request("minbusy", 0)

@@ -950,3 +950,35 @@ class TestInternNegotiation:
                 assert fresh == first
         finally:
             handle.stop()
+
+    def test_enveloped_repeats_replay_with_interning(self):
+        """Repeats carrying envelope fields decode (resolving refs) and
+        then hit the replay tier on their envelope-free key; each reply
+        echoes its own id."""
+        doc = _big_solve_doc()
+        handle = fresh_server(wire="auto").run_in_thread()
+        try:
+            with ServiceClient(
+                port=handle.port, timeout=30.0, wire="binary"
+            ) as client:
+                assert client._intern_tx is not None
+                replies = [
+                    client.request(dict(doc, id=i, deadline=30.0))
+                    for i in range(3)
+                ]
+                stats = client.cache_stats()
+                refs_sent = client._intern_tx.stats["refs"]
+            assert refs_sent >= 2  # repeats 2 and 3 ride as refs
+            assert [r["id"] for r in replies] == [0, 1, 2]
+            assert [r["result"]["from_cache"] for r in replies] == [
+                False,
+                True,
+                True,
+            ]
+            first = drop_provenance(replies[0]["result"])
+            assert all(
+                drop_provenance(r["result"]) == first for r in replies
+            )
+            assert stats["wire"]["by_format"]["binary"]["hits"] == 2
+        finally:
+            handle.stop()
