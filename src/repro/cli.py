@@ -118,7 +118,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from .analysis.verify import verify_budget_schedule, verify_min_busy_schedule
 from .core.bounds import combined_lower_bound
@@ -132,6 +132,7 @@ from .io import (
     save_instance,
 )
 from .minbusy import solve_min_busy
+from .obs.expo import sum_stats as _sum_stats
 
 __all__ = ["main"]
 
@@ -527,32 +528,6 @@ def _cmd_solve_batch(
     return 0
 
 
-def _sum_stats(docs: List[dict]) -> dict:
-    """Numeric leaves summed across same-shaped stats documents.
-
-    Nested dicts merge recursively; strings (paths, states) and
-    booleans drop out — the aggregate is counters only.  A sum of
-    rates is not a rate, so ``hit_rate`` is recomputed from the summed
-    ``hits``/``misses`` beside it.
-    """
-    out: dict = {}
-    for doc in docs:
-        for key, value in doc.items():
-            if isinstance(value, dict):
-                seed = out.get(key)
-                out[key] = _sum_stats(
-                    [seed, value] if isinstance(seed, dict) else [value]
-                )
-            elif isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            ):
-                out[key] = out.get(key, 0) + value
-    if "hit_rate" in out and "hits" in out and "misses" in out:
-        total = out["hits"] + out["misses"]
-        out["hit_rate"] = out["hits"] / total if total else 0.0
-    return out
-
-
 def _flat_items(stats: dict, prefix: str = ""):
     """``(dotted_key, value)`` leaves of a nested counters dict —
     ``wire.by_format.binary.hits`` instead of a dict repr inline."""
@@ -563,6 +538,52 @@ def _flat_items(stats: dict, prefix: str = ""):
             yield f"{prefix}{key}", value
 
 
+def _scrape_fleet(
+    entries: List[str], ask: Callable[[Any], Any]
+) -> List[Tuple[str, Any, str]]:
+    """``ask(client)`` of every ``--shard host:port`` serve endpoint.
+
+    Returns ``(host:port, answer, error)`` per entry in ``--shard``
+    order; ``answer`` is None (and ``error`` says why) for an endpoint
+    that did not answer.  ``local`` entries name no server and are
+    rejected before any connection; an entirely dark fleet is fatal.
+    """
+    from .api import parse_shard_entry
+    from .service.client import ServiceClient, ServiceError
+
+    try:
+        specs = [parse_shard_entry(s, source="--shard") for s in entries]
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
+    if any(spec.is_local for spec in specs):
+        raise SystemExit(
+            "--shard local has no server to ask; point --shard at "
+            "`repro serve` endpoints (host:port)"
+        )
+    answers: List[Tuple[str, Any, str]] = []
+    for spec in specs:
+        key = f"{spec.host}:{spec.port}"
+        try:
+            with ServiceClient(
+                spec.host, spec.port, timeout=10.0
+            ) as client:
+                answers.append((key, ask(client), ""))
+        except (OSError, ServiceError, InstanceError) as exc:
+            # InstanceError covers a shard dying mid-response: the
+            # partial line fails protocol decoding, and that is the
+            # same operational fact as a refused connection — the
+            # shard is down, which the caller reports instead of a
+            # traceback.
+            answers.append((key, None, str(exc)))
+    if all(answer is None for _, answer, _ in answers):
+        raise SystemExit(
+            "none of the --shard endpoints answered:\n"
+            + "\n".join(f"  {key}: {error}" for key, _, error in answers)
+            + "\nstart the shards with `repro serve` or fix the addresses"
+        )
+    return answers
+
+
 def _cmd_cache_sharded_stats(args: argparse.Namespace) -> int:
     """``repro cache stats`` against live serve endpoints.
 
@@ -571,54 +592,24 @@ def _cmd_cache_sharded_stats(args: argparse.Namespace) -> int:
     per-shard breakdown plus a counters-only aggregate.  Unreachable
     shards are reported, not fatal — unless the whole fleet is dark.
     """
-    from .api import parse_shard_entry
-    from .service.client import ServiceClient, ServiceError
-
-    try:
-        specs = [
-            parse_shard_entry(s, source="--shard") for s in args.shard
-        ]
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    answers = _scrape_fleet(
+        args.shard,
+        lambda client: {
+            "stats": client.cache_stats(),
+            "health": client.health(),
+        },
+    )
     shards: dict = {}
-    reachable = 0
-    for spec in specs:
-        if spec.is_local:
-            raise SystemExit(
-                "--shard local has no server to ask for cache stats; "
-                "point --shard at `repro serve` endpoints (host:port)"
-            )
-        key = f"{spec.host}:{spec.port}"
-        try:
-            with ServiceClient(
-                spec.host, spec.port, timeout=10.0
-            ) as client:
-                shards[key] = {
-                    "reachable": True,
-                    "state": "ok",
-                    "stats": client.cache_stats(),
-                    "health": client.health(),
-                }
-                reachable += 1
-        except (OSError, ServiceError, InstanceError) as exc:
-            # InstanceError covers a shard dying mid-response: the
-            # partial line fails protocol decoding, and that is the
-            # same operational fact as a refused connection — the
-            # shard is down, which the report renders instead of a
-            # traceback.
+    for key, answer, error in answers:
+        if answer is None:
             shards[key] = {
                 "reachable": False,
                 "state": "unreachable",
-                "error": str(exc),
+                "error": error,
             }
-    if not reachable:
-        raise SystemExit(
-            "none of the --shard endpoints answered:\n"
-            + "\n".join(
-                f"  {key}: {info['error']}" for key, info in shards.items()
-            )
-            + "\nstart the shards with `repro serve` or fix the addresses"
-        )
+        else:
+            shards[key] = {"reachable": True, "state": "ok", **answer}
+    reachable = sum(answer is not None for _, answer, _ in answers)
     aggregate = _sum_stats(
         [s["stats"] for s in shards.values() if s["reachable"]]
     )
@@ -627,10 +618,10 @@ def _cmd_cache_sharded_stats(args: argparse.Namespace) -> int:
     # instead of aborting it.
     aggregate["fleet"] = {
         "reachable": reachable,
-        "unreachable": len(specs) - reachable,
+        "unreachable": len(answers) - reachable,
     }
     doc = {
-        "n_shards": len(specs),
+        "n_shards": len(answers),
         "reachable": reachable,
         "shards": shards,
         "aggregate": aggregate,
@@ -638,7 +629,7 @@ def _cmd_cache_sharded_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(doc, indent=2))
         return 0
-    print(f"shards      : {reachable}/{len(specs)} reachable")
+    print(f"shards      : {reachable}/{len(answers)} reachable")
     for key, info in shards.items():
         if not info["reachable"]:
             print(f"{key:21s}: unreachable ({info['error']})")
@@ -761,39 +752,17 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from .obs import metrics as obs_metrics
 
     docs: List[dict] = []
-    failures: List[str] = []
     if getattr(args, "shard", None):
-        from .api import parse_shard_entry
-        from .service.client import ServiceClient, ServiceError
-
-        try:
-            specs = [
-                parse_shard_entry(s, source="--shard") for s in args.shard
-            ]
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
-        for spec in specs:
-            if spec.is_local:
-                raise SystemExit(
-                    "--shard local has no server to scrape; point "
-                    "--shard at `repro serve` endpoints (host:port)"
+        for key, answer, error in _scrape_fleet(
+            args.shard, lambda client: client.metrics()
+        ):
+            if answer is None:
+                print(
+                    f"warning: unreachable shard {key}: {error}",
+                    file=sys.stderr,
                 )
-            try:
-                with ServiceClient(
-                    spec.host, spec.port, timeout=10.0
-                ) as client:
-                    docs.append(client.metrics())
-            except (OSError, ServiceError, InstanceError) as exc:
-                failures.append(f"{spec.host}:{spec.port}: {exc}")
-        if not docs:
-            raise SystemExit(
-                "none of the --shard endpoints answered:\n  "
-                + "\n  ".join(failures)
-                + "\nstart the shards with `repro serve` or fix the "
-                "addresses"
-            )
-        for line in failures:
-            print(f"warning: unreachable shard {line}", file=sys.stderr)
+            else:
+                docs.append(answer)
     elif args.port is not None:
         from .service.client import ServiceClient, ServiceError
 

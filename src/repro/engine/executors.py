@@ -91,11 +91,6 @@ _EXEC_TASKS = obs_metrics.counter(
     "Cache-miss solve tasks run, by executor backend",
     labels=("backend",),
 )
-_SHARD_ATTEMPTS = obs_metrics.counter(
-    "repro_shard_attempts_total",
-    "Per-shard fan-out attempts by outcome",
-    labels=("shard", "outcome"),
-)
 
 
 @dataclass(frozen=True)
@@ -701,14 +696,8 @@ class ShardedExecutor:
                                     responder, exc, len(idxs)
                                 )
                                 dead.add(responder)
-                                _SHARD_ATTEMPTS.labels(
-                                    str(responder), "failure"
-                                ).inc()
                             else:
                                 self.health.record_success(responder)
-                                _SHARD_ATTEMPTS.labels(
-                                    str(responder), "success"
-                                ).inc()
                                 break
                         if served is None:
                             next_remaining.extend(idxs)

@@ -70,19 +70,10 @@ from typing import (
 
 import numpy as np
 
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .engine import EngineResult
 from .fingerprint import rows_fingerprint
 from .store import CounterFile, ResultStore
-
-# Mirror of the buffered rstats ticks as live registry counters (the
-# rstats files remain the source of truth for ``cache_stats``).
-_REPAIR_EVENTS = obs_metrics.counter(
-    "repro_repair_probes_total",
-    "Repair-tier probe outcomes",
-    labels=("outcome",),
-)
 
 __all__ = [
     "REPAIR_INDEX_VERSION",
@@ -399,7 +390,6 @@ class RepairTier:
             except Exception:
                 outcome, result = "abort", None
             attempt.set("outcome", outcome)
-        _REPAIR_EVENTS.labels(outcome).inc()
         if outcome == "hit":
             self._bump("hits")
             return result

@@ -30,7 +30,9 @@ design chosen for multi-writer safety on POSIX filesystems:
   :meth:`ResultStore.stats` sums every counter file, so ``repro cache
   stats`` shows that a second CLI invocation really was served from
   disk.  The repair tier keeps its ``rstats-*.json`` counters the same
-  way.
+  way.  These files are the only count of store and repair probes:
+  ``repro metrics`` projects them from ``cache_stats``, and the
+  metrics registry keeps no mirror of them.
 
 In the layered cache stack this is the backing structure of the
 persistent tier (:class:`repro.engine.tiers.StoreTier`): the

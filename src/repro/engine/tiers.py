@@ -51,7 +51,6 @@ from typing import (
 from dataclasses import replace
 
 from ..core.schedule import Schedule
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .cache import LRUCache
 from .store import ResultStore
@@ -63,18 +62,6 @@ __all__ = [
     "TieredCache",
     "strip_for_store",
 ]
-
-# Registry handles are module-level and bound once: TieredCache stacks
-# are rebuilt per call (Session.cache()), so per-instance binding would
-# pay family lookups on every solve.  The counters are *additional*
-# telemetry — each tier's own counters (LRUCache.info(),
-# ResultStore.stats(), repair rstats) remain the source of truth for
-# the unchanged ``cache_stats`` schema.
-_TIER_REQUESTS = obs_metrics.counter(
-    "repro_tier_requests_total",
-    "Tiered-cache probes by tier and outcome",
-    labels=("tier", "outcome"),
-)
 
 
 def strip_for_store(result: Any) -> Any:
@@ -240,7 +227,6 @@ class TieredCache:
                 else:
                     value = tier.get(key)
                 if value is not None:
-                    _TIER_REQUESTS.labels(tier.name, "hit").inc()
                     probe.set("hit", tier.name)
                     for upper in self.tiers[:i]:
                         if self._wants_context(upper):
@@ -248,7 +234,6 @@ class TieredCache:
                         else:
                             upper.put(key, value)
                     return value
-                _TIER_REQUESTS.labels(tier.name, "miss").inc()
             probe.set("hit", "none")
         return None
 
@@ -277,7 +262,6 @@ class TieredCache:
                 else:
                     hits = tier.get_many(pending)
                 if hits:
-                    _TIER_REQUESTS.labels(tier.name, "hit").inc(len(hits))
                     for upper in self.tiers[:i]:
                         if self._wants_context(upper):
                             upper.put_many(hits, contexts=contexts)  # type: ignore[call-arg]
@@ -285,10 +269,6 @@ class TieredCache:
                             upper.put_many(hits)
                     found.update(hits)
                     pending = [k for k in pending if k not in hits]
-                if pending:
-                    _TIER_REQUESTS.labels(tier.name, "miss").inc(
-                        len(pending)
-                    )
             probe.set("hits", len(found))
         return found
 

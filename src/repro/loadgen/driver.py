@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import InstanceError
+from ..obs.expo import sum_stats
 from ..service.binary import HEADER_BYTES, decode_payload, parse_header
 from ..service.client import ServiceClient, ServiceError
 from ..service.protocol import (
@@ -448,44 +449,51 @@ def _fleet_stats(
     return out
 
 
-def _tier_deltas(
+def _hit_counts(stats: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """Each tier's ``hits``/``misses`` from one ``cache_stats`` doc."""
+    return {
+        tier: {k: block.get(k, 0) for k in ("hits", "misses")}
+        for tier, block in stats.items()
+        if isinstance(block, dict)
+        and ("hits" in block or "misses" in block)
+    }
+
+
+def _run_hits(
+    before: Optional[Dict[str, Any]], after: Dict[str, Any]
+) -> Dict[str, Dict[str, Any]]:
+    """One target's per-tier hits/misses over the run.
+
+    ``after`` minus ``before``; a target with no ``before`` snapshot,
+    or whose counters went down (it restarted mid-run), counts its
+    ``after`` snapshot alone.  ``hit_rate`` is filled in by the sum.
+    """
+    now = _hit_counts(after)
+    then = _hit_counts(before or {})
+    delta = {
+        tier: {k: v - then.get(tier, {}).get(k, 0) for k, v in c.items()}
+        for tier, c in now.items()
+    }
+    if any(v < 0 for c in delta.values() for v in c.values()):
+        delta = now
+    return {tier: {**c, "hit_rate": 0.0} for tier, c in delta.items()}
+
+
+def _fleet_counters(
     before: Dict[str, Dict[str, Any]],
     after: Dict[str, Dict[str, Any]],
-) -> Dict[str, Dict[str, float]]:
-    """Per-tier hit/miss deltas summed across targets, as hit rates."""
-    tiers: Dict[str, Dict[str, float]] = {}
-    for key, stats_after in after.items():
-        stats_before = before.get(key, {})
-        for tier, counters in stats_after.items():
-            if not isinstance(counters, dict):
-                continue
-            if "hits" not in counters and "misses" not in counters:
-                continue
-            prior = stats_before.get(tier, {})
-            if not isinstance(prior, dict):
-                prior = {}
-            slot = tiers.setdefault(tier, {"hits": 0.0, "misses": 0.0})
-            slot["hits"] += counters.get("hits", 0) - prior.get("hits", 0)
-            slot["misses"] += (
-                counters.get("misses", 0) - prior.get("misses", 0)
-            )
-    for slot in tiers.values():
-        total = slot["hits"] + slot["misses"]
-        slot["hit_rate"] = (slot["hits"] / total) if total > 0 else 0.0
-    return tiers
-
-
-def _orphan_totals(
-    after: Dict[str, Dict[str, Any]]
-) -> Dict[str, float]:
-    totals: Dict[str, float] = {}
-    for stats in after.values():
-        counters = stats.get("orphaned_batches")
-        if isinstance(counters, dict):
-            for key, value in counters.items():
-                if isinstance(value, (int, float)):
-                    totals[key] = totals.get(key, 0) + value
-    return totals
+) -> Dict[str, Dict[str, Any]]:
+    """The report's ``tiers`` (hit/miss counts over the run, with hit
+    rates) and ``orphaned_batches`` (end-of-run totals) sections, each
+    one :func:`~repro.obs.expo.sum_stats` across targets."""
+    return {
+        "tiers": sum_stats(
+            _run_hits(before.get(key), stats) for key, stats in after.items()
+        ),
+        "orphaned_batches": sum_stats(
+            stats.get("orphaned_batches") or {} for stats in after.values()
+        ),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -758,8 +766,7 @@ def run_loadgen(
                 "connections": dict(state.wire_connections),
                 "frame_mutations": state.frame_mutations,
             },
-            "tiers": _tier_deltas(before, after),
-            "orphaned_batches": _orphan_totals(after),
+            **_fleet_counters(before, after),
             "failures": failures[:20],
             "reproducers": reproducers,
         }

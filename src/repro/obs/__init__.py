@@ -3,7 +3,7 @@
 Three small modules, one contract — **stay off the hot path**:
 
 * :mod:`repro.obs.metrics` — process-global (but instantiable)
-  :class:`MetricsRegistry` of counters/gauges/histograms with labeled
+  :class:`MetricsRegistry` of counters/histograms with labeled
   children, GIL-cheap increments, and deterministic snapshot/merge
   semantics (fixed histogram ladder, sorted output) so per-shard
   snapshots aggregate byte-stably.
@@ -14,8 +14,9 @@ Three small modules, one contract — **stay off the hot path**:
   path is a single attribute read.
 * :mod:`repro.obs.expo` — Prometheus text exposition + pinned JSON
   schema over snapshots, a line-grammar validator, and the
-  ``cache_stats`` projection that exposes every pre-existing ad-hoc
-  counter block without re-plumbing its maintenance.
+  ``cache_stats`` projection that exposes every counter block while
+  the count stays in that block (the registry keeps no twin), plus
+  :func:`sum_stats`, the one cross-target sum of those blocks.
 
 E23 (``benchmarks/bench_e23_obs.py``) pins the instrumented-vs-
 uninstrumented overhead of all of this at ≤ 2% on the sustained-load
@@ -27,11 +28,9 @@ from .metrics import (  # noqa: F401
     METRICS_SCHEMA,
     REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     counter,
-    gauge,
     histogram,
     merge_snapshots,
 )
@@ -59,6 +58,7 @@ from .expo import (  # noqa: F401
     render_json,
     render_prometheus,
     stats_samples,
+    sum_stats,
     validate_prometheus,
 )
 
@@ -70,7 +70,6 @@ __all__ = [
     "TRACE_DIR_ENV_VAR",
     "TRACE_ENV_VAR",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "adopted",
@@ -79,7 +78,6 @@ __all__ = [
     "current_context",
     "disable_tracing",
     "enable_tracing",
-    "gauge",
     "histogram",
     "ingest",
     "merge_snapshots",
@@ -92,6 +90,7 @@ __all__ = [
     "span",
     "span_tree",
     "stats_samples",
+    "sum_stats",
     "trace_spans",
     "tracing_enabled",
     "validate_prometheus",

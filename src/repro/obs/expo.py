@@ -13,18 +13,19 @@ Two formats over one :meth:`MetricsRegistry.snapshot` document:
   also what the ``metrics`` wire op returns.
 
 :func:`stats_samples` projects a ``cache_stats`` document — the
-existing ad-hoc counter blocks (tiers, wire, wire_transport, repair,
-orphaned batches, shard circuits) — into registry-shaped families, so
-`repro metrics` exposes the whole serving surface without touching the
-hot paths that maintain those counters (their schemas stay exactly as
-they were; the projection is a read-time view).
+counter blocks (tiers, wire, wire_transport, repair, orphaned batches,
+shard circuits) — into registry-shaped families, so `repro metrics`
+exposes the whole serving surface while each count stays in its one
+block (the projection is a read-time view; the registry keeps no
+twin).  :func:`sum_stats` is the one cross-target sum of such
+documents.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .metrics import BUCKET_BOUNDS, METRICS_SCHEMA, MetricsRegistry
 
@@ -33,6 +34,7 @@ __all__ = [
     "render_json",
     "validate_prometheus",
     "stats_samples",
+    "sum_stats",
     "metrics_document",
 ]
 
@@ -248,6 +250,32 @@ def stats_samples(stats: Dict[str, Any]) -> Dict[str, Any]:
             }
         )
     return {"schema": METRICS_SCHEMA, "metrics": metrics}
+
+
+def sum_stats(docs: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Numeric leaves summed across same-shaped stats documents.
+
+    Nested dicts merge recursively; strings (paths, states) and
+    booleans drop out — the aggregate is counters only.  A sum of
+    rates is not a rate, so ``hit_rate`` is recomputed from the summed
+    ``hits``/``misses`` beside it.
+    """
+    out: Dict[str, Any] = {}
+    for doc in docs:
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                seed = out.get(key)
+                out[key] = sum_stats(
+                    [seed, value] if isinstance(seed, dict) else [value]
+                )
+            elif isinstance(value, (int, float)) and not isinstance(
+                value, bool
+            ):
+                out[key] = out.get(key, 0) + value
+    if "hit_rate" in out and "hits" in out and "misses" in out:
+        total = out["hits"] + out["misses"]
+        out["hit_rate"] = out["hits"] / total if total else 0.0
+    return out
 
 
 def metrics_document(

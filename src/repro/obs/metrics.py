@@ -1,4 +1,4 @@
-"""The metrics registry: low-overhead counters, gauges, histograms.
+"""The metrics registry: low-overhead counters and histograms.
 
 One :class:`MetricsRegistry` holds named metric *families*; a family
 with label names holds one child per label-value combination.  The hot
@@ -16,6 +16,13 @@ which is what ``repro metrics`` scrapes over the wire), while any
 component that wants isolated numbers constructs a private
 ``MetricsRegistry`` and passes it down.
 
+Each event is counted in one place.  A count that has a
+``cache_stats`` block (tier probes, repair attempts, shard circuits,
+wire replays) lives only in that block and reaches ``repro metrics``
+through the read-time projection :func:`repro.obs.expo.stats_samples`;
+the registry holds latency histograms and the counts that have no
+block (solves, executor tasks, server requests).
+
 Snapshots are deterministic — families sorted by name, samples sorted
 by label values — and :func:`merge_snapshots` sums them exactly:
 counters and histogram buckets are integers/floats added bucket-by-
@@ -27,30 +34,18 @@ the merge order.  That is the property the fleet aggregate in
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_left
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "BUCKET_BOUNDS",
     "METRICS_SCHEMA",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
-    "gauge",
     "histogram",
     "merge_snapshots",
 ]
@@ -81,40 +76,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A point-in-time value; ``set_function`` makes it a live view."""
-
-    __slots__ = ("value", "_fn")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        self._fn = None
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._fn = None
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Read ``fn()`` at snapshot time instead of a stored value."""
-        self._fn = fn
-
-    def read(self) -> float:
-        fn = self._fn
-        if fn is None:
-            return self.value
-        try:
-            return float(fn())
-        except Exception:
-            return 0.0
-
-
 class Histogram:
     """Bucketed observations on the fixed exponential ladder.
 
@@ -138,7 +99,6 @@ class Histogram:
 
 _KINDS = {
     "counter": Counter,
-    "gauge": Gauge,
     "histogram": Histogram,
 }
 
@@ -241,11 +201,6 @@ class MetricsRegistry:
     ) -> _Family:
         return self._family(name, "counter", help_text, labels)
 
-    def gauge(
-        self, name: str, help_text: str = "", labels: Sequence[str] = ()
-    ) -> _Family:
-        return self._family(name, "gauge", help_text, labels)
-
     def histogram(
         self, name: str, help_text: str = "", labels: Sequence[str] = ()
     ) -> _Family:
@@ -272,8 +227,6 @@ class MetricsRegistry:
                 labels = dict(zip(family.label_names, values))
                 if family.kind == "counter":
                     samples.append({"labels": labels, "value": child.value})
-                elif family.kind == "gauge":
-                    samples.append({"labels": labels, "value": child.read()})
                 else:
                     samples.append(
                         {
@@ -298,9 +251,9 @@ class MetricsRegistry:
 def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Exact, order-independent sum of snapshot documents.
 
-    Counters and histogram buckets add; gauges add too (for the gauges
-    exposed here — sizes, live counts — the across-shard sum is the
-    fleet number).  Families/samples present in only some snapshots
+    Counters and histogram buckets add; gauge documents add too (the
+    stats projection's gauges are sizes and live counts, whose
+    across-shard sum is the fleet number).  Families/samples present in only some snapshots
     pass through; conflicting types for one name raise.  The result is
     itself a valid snapshot (sorted, schema-tagged), so merging is
     associative.
@@ -354,28 +307,6 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return {"schema": METRICS_SCHEMA, "metrics": metrics}
 
 
-def quantile_from_counts(
-    counts: Sequence[int], q: float
-) -> float:
-    """An upper-bound estimate of quantile ``q`` from ladder counts.
-
-    Linear scan over the fixed ladder; returns the bucket's upper
-    bound (``inf`` for the overflow bucket).  Good enough for report
-    rendering — exact percentiles still come from raw samples where
-    they are kept.
-    """
-    total = sum(counts)
-    if total <= 0:
-        return 0.0
-    rank = q * total
-    acc = 0
-    for i, c in enumerate(counts):
-        acc += c
-        if acc >= rank:
-            return BUCKET_BOUNDS[i] if i < len(BUCKET_BOUNDS) else math.inf
-    return math.inf
-
-
 #: The process-default registry every built-in instrumentation point
 #: binds against (and the surface `repro metrics` exposes).
 REGISTRY = MetricsRegistry()
@@ -386,13 +317,6 @@ def counter(
 ) -> _Family:
     """A counter family on the process-default registry."""
     return REGISTRY.counter(name, help_text, labels)
-
-
-def gauge(
-    name: str, help_text: str = "", labels: Sequence[str] = ()
-) -> _Family:
-    """A gauge family on the process-default registry."""
-    return REGISTRY.gauge(name, help_text, labels)
 
 
 def histogram(

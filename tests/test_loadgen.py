@@ -358,6 +358,39 @@ class TestReport:
         assert payload["p99_inv"] == pytest.approx(250.0)  # 1/0.004s
         assert payload["hit_rates"] == {"lru": 0.5}
 
+    def test_restarted_target_counts_its_after_snapshot_alone(self):
+        """A target whose counters went down restarted mid-run (rolling
+        restarts rotate connections): its tier counts are its ``after``
+        snapshot, never a negative delta."""
+        from repro.loadgen.driver import _fleet_counters
+
+        before = {"h:1": {"lru": {"hits": 100, "misses": 20}}}
+        after = {"h:1": {"lru": {"hits": 5, "misses": 7}}}
+        assert _fleet_counters(before, after)["tiers"] == {
+            "lru": {"hits": 5, "misses": 7, "hit_rate": pytest.approx(5 / 12)}
+        }
+
+    def test_fleet_counters_sum_run_deltas_across_targets(self):
+        from repro.loadgen.driver import _fleet_counters
+
+        before = {"h:1": {"lru": {"hits": 1, "misses": 2}}}
+        after = {
+            "h:1": {
+                "lru": {"hits": 4, "misses": 2},
+                "orphaned_batches": {"live": 1, "cap": 8},
+            },
+            # no ``before`` snapshot: counted from its ``after`` alone
+            "h:2": {
+                "lru": {"hits": 1, "misses": 1},
+                "orphaned_batches": {"live": 0, "cap": 8},
+            },
+        }
+        counters = _fleet_counters(before, after)
+        assert counters["tiers"] == {
+            "lru": {"hits": 4, "misses": 1, "hit_rate": pytest.approx(0.8)}
+        }
+        assert counters["orphaned_batches"] == {"live": 1, "cap": 16}
+
     def test_append_history_is_atomic_under_threads(self, tmp_path):
         path = tmp_path / "H.json"
         errors = []

@@ -21,14 +21,13 @@ import subprocess
 
 import pytest
 
-from repro.api import RemoteSession, Session
+from repro.api import RemoteSession, Session, ShardedClient
 from repro.obs import expo, metrics as obs_metrics, trace as obs_trace
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
     METRICS_SCHEMA,
     MetricsRegistry,
     merge_snapshots,
-    quantile_from_counts,
 )
 from repro.service.client import ServiceClient
 from repro.service.server import SolveServer
@@ -73,16 +72,6 @@ class TestRegistry:
             {"labels": {"kind": "b"}, "value": 1},
         ]
 
-    def test_gauge_set_inc_dec_and_function(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("repro_test_gauge").child()
-        g.set(5.0)
-        g.inc(2.0)
-        g.dec(1.0)
-        assert g.read() == 6.0
-        g.set_function(lambda: 42.0)
-        assert g.read() == 42.0
-
     def test_histogram_ladder(self):
         reg = MetricsRegistry()
         h = reg.histogram("repro_test_seconds").child()
@@ -100,7 +89,7 @@ class TestRegistry:
         a = reg.counter("repro_test_total")
         assert reg.counter("repro_test_total") is a
         with pytest.raises(ValueError):
-            reg.gauge("repro_test_total")
+            reg.histogram("repro_test_total")
 
     def test_invalid_metric_name_rejected(self):
         reg = MetricsRegistry()
@@ -138,16 +127,20 @@ class TestRegistry:
     def test_merge_type_conflict_raises(self):
         a = MetricsRegistry()
         a.counter("repro_x_total").child().inc()
-        b = MetricsRegistry()
-        b.gauge("repro_x_total").child().set(1)
+        gauge_doc = {
+            "schema": METRICS_SCHEMA,
+            "metrics": [
+                {
+                    "name": "repro_x_total",
+                    "type": "gauge",
+                    "help": "",
+                    "labels": [],
+                    "samples": [{"labels": {}, "value": 1}],
+                }
+            ],
+        }
         with pytest.raises(ValueError):
-            merge_snapshots([a.snapshot(), b.snapshot()])
-
-    def test_quantile_from_counts_bounds(self):
-        counts = [0] * (len(BUCKET_BOUNDS) + 1)
-        counts[3] = 10
-        q = quantile_from_counts(counts, 0.99)
-        assert q == BUCKET_BOUNDS[3]
+            merge_snapshots([a.snapshot(), gauge_doc])
 
 
 # ---------------------------------------------------------------------------
@@ -156,24 +149,29 @@ class TestRegistry:
 
 
 class TestExposition:
-    def _loaded_registry(self):
+    def _loaded_snapshot(self):
+        """A registry snapshot merged with a projected stats document,
+        so counter, gauge and histogram families all render."""
         reg = MetricsRegistry()
         reg.counter("repro_req_total", "requests", labels=("op",)).labels(
             "solve"
         ).inc(7)
-        reg.gauge("repro_live", "live gauge").child().set(3)
         reg.histogram("repro_lat_seconds", "latency").child().observe(0.02)
-        return reg
+        return merge_snapshots(
+            [reg.snapshot(), expo.stats_samples({"lru": {"size": 3}})]
+        )
 
     def test_prometheus_text_passes_the_validator(self):
-        text = expo.render_prometheus(self._loaded_registry().snapshot())
+        text = expo.render_prometheus(self._loaded_snapshot())
         errors = expo.validate_prometheus(text)
         assert errors == []
         assert "# TYPE repro_req_total counter" in text
         assert 'repro_req_total{op="solve"} 7' in text
+        assert "# TYPE repro_stats_gauge gauge" in text
+        assert 'repro_stats_gauge{block="lru",path="lru.size"} 3' in text
 
     def test_histogram_exposition_is_cumulative_with_inf(self):
-        text = expo.render_prometheus(self._loaded_registry().snapshot())
+        text = expo.render_prometheus(self._loaded_snapshot())
         lines = [l for l in text.splitlines() if l.startswith("repro_lat")]
         buckets = [l for l in lines if "_bucket{" in l]
         assert buckets and buckets[-1].startswith(
@@ -190,7 +188,7 @@ class TestExposition:
         assert expo.validate_prometheus("repro_mystery_total 1\n")
 
     def test_json_schema_is_pinned(self):
-        doc = expo.render_json(self._loaded_registry().snapshot())
+        doc = expo.render_json(self._loaded_snapshot())
         assert doc["schema"] == METRICS_SCHEMA
         for metric in doc["metrics"]:
             assert set(metric) == {"name", "type", "help", "labels", "samples"}
@@ -210,6 +208,45 @@ class TestExposition:
         }
         assert {"lru.hits", "lru.misses"} <= counter_paths
         assert {"lru.size", "lru.maxsize"} <= gauge_paths
+
+    def test_each_tier_event_is_counted_once(self):
+        """The exposition reads tier counts from ``cache_stats`` only.
+
+        Two batches of 6 on a two-shard local fleet miss the router's
+        LRU 6 times and each shard's 3 times; the projected leaves are
+        exactly those, and no registry family re-counts them (a
+        process-global twin would add all three LRUs under one label).
+        """
+        instances = [family_instance("minbusy", s)[0] for s in range(6)]
+        with ShardedClient.from_specs(["local", "local"]) as fleet:
+            fleet.solve_many(instances)
+            fleet.solve_many(instances)
+            stats = fleet.cache_stats()
+        doc = expo.metrics_document(obs_metrics.REGISTRY, stats)
+        names = {m["name"] for m in doc["metrics"]}
+        assert not names & {
+            "repro_tier_requests_total",
+            "repro_repair_probes_total",
+            "repro_shard_attempts_total",
+        }
+        (counters,) = [
+            m for m in doc["metrics"] if m["name"] == "repro_stats_counter"
+        ]
+        projected = {
+            s["labels"]["path"]: s["value"] for s in counters["samples"]
+        }
+        shards = stats["shards"]
+        expected = {
+            "lru.misses": stats["lru"]["misses"],
+            "shards.shard0.lru.misses": shards["shard0"]["lru"]["misses"],
+            "shards.shard1.lru.misses": shards["shard1"]["lru"]["misses"],
+        }
+        assert expected == {
+            "lru.misses": 6,
+            "shards.shard0.lru.misses": 3,
+            "shards.shard1.lru.misses": 3,
+        }
+        assert {path: projected[path] for path in expected} == expected
 
 
 # ---------------------------------------------------------------------------
