@@ -332,28 +332,34 @@ class ShardedClient:
             stream = None
             failed = False
             try:
-                stream = self.clients[shard].solve_stream(
-                    [plans[i].instance for i in indices],
-                    plans[indices[0]].spec.name,
-                    use_cache=use_cache,
-                    deadline=deadline,
-                )
-                while not stop.is_set():
+                # The shard lock spans the whole sub-stream: a fleet
+                # call (stats, objectives, probe) between two streamed
+                # results would otherwise interleave on its connection.
+                with self.executor.shard_locks[shard]:
                     try:
-                        result = next(stream)
-                    except StopIteration:
-                        break
-                    out.put((None, result))
+                        stream = self.clients[shard].solve_stream(
+                            [plans[i].instance for i in indices],
+                            plans[indices[0]].spec.name,
+                            use_cache=use_cache,
+                            deadline=deadline,
+                        )
+                        while not stop.is_set():
+                            try:
+                                result = next(stream)
+                            except StopIteration:
+                                break
+                            out.put((None, result))
+                    finally:
+                        if stream is not None:
+                            try:
+                                stream.close()
+                            except BaseException:
+                                pass
             except BaseException as exc:
                 failed = True
                 self.executor.health.record_failure(shard, exc)
                 out.put((exc, None))
             finally:
-                if stream is not None:
-                    try:
-                        stream.close()
-                    except BaseException:
-                        pass
                 if not failed and not stop.is_set():
                     self.executor.health.record_success(shard)
                 with self._pump_lock:
@@ -433,7 +439,8 @@ class ShardedClient:
         )
         for shard in candidates:
             try:
-                listing = self.clients[shard].objectives()
+                with self.executor.shard_locks[shard]:
+                    listing = self.clients[shard].objectives()
             except Exception as exc:
                 errors.append(exc)
                 self.executor.health.record_failure(shard, exc)

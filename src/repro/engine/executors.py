@@ -14,8 +14,8 @@ Backends:
 * :class:`SerialExecutor` — in-process loop; the reference semantics.
 * :class:`ProcessPoolExecutor` — the deterministic chunked
   ``multiprocessing`` fan-out that used to live inline in
-  ``solve_many`` (fork-server preferred, ordered ``pool.map``, ~4
-  chunks per worker).
+  ``solve_many`` (forked workers read the batch in place, ordered
+  ``pool.map``, ~4 chunks per worker).
 * :class:`AsyncQueueExecutor` — an ``asyncio`` queue with bounded
   concurrency, optional per-request deadlines, and in-flight request
   coalescing: duplicate concurrent solves of the same fingerprint
@@ -44,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import copy
+import itertools
 import multiprocessing
 import threading
 from concurrent.futures import (
@@ -124,8 +125,8 @@ def _solve_task(task: SolveTask):
     """Run one task to an :class:`~repro.engine.engine.EngineResult`.
 
     Module-level (and importing the engine lazily) so process-pool
-    workers can unpickle and call it without re-entering this module's
-    import of the engine.
+    workers can call it without re-entering this module's import of
+    the engine.
     """
     from .engine import _solve_uncached, _spec_for
 
@@ -163,48 +164,21 @@ class ProcessPoolExecutor:
     to ~4 chunks per worker.  Single-task batches short-circuit to the
     serial path (a pool would only add fork/teardown cost).
 
-    Batches whose total job count clears the measured crossover
-    (``shm_min_jobs``, default :data:`repro.engine.shm.SHM_MIN_JOBS`,
-    env ``REPRO_SHM_MIN_JOBS``) ship their instances as one
-    shared-memory block of binary-codec frames instead of pickled
-    objects — workers attach and decode through zero-copy NumPy views
-    (:mod:`repro.engine.shm`).  Instances without a document form fall
-    back to pickling transparently.
+    Workers are forked after the batch is parked in a module-level
+    table, so they read their tasks in place: only ``(token, index)``
+    pairs and the results cross the pipe.  Where ``fork`` is missing
+    the pool spawns and pickles each task instead.
     """
 
     name = "process"
 
     def __init__(
-        self,
-        workers: int = 2,
-        chunksize: Optional[int] = None,
-        shm_min_jobs: Optional[int] = None,
+        self, workers: int = 2, chunksize: Optional[int] = None
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.chunksize = chunksize
-        self.shm_min_jobs = shm_min_jobs
-
-    def _shm_refs(self, tasks: Sequence[SolveTask]):
-        """The shm segment + refs for an eligible batch, else ``None``."""
-        from . import shm as shm_mod
-
-        threshold = (
-            self.shm_min_jobs
-            if self.shm_min_jobs is not None
-            else shm_mod.shm_min_jobs()
-        )
-        if threshold < 0:  # explicit opt-out
-            return None
-        if sum(map(shm_mod.task_payload_size, tasks)) < threshold:
-            return None
-        try:
-            return shm_mod.pack_tasks(tasks)
-        except Exception:
-            # No document form (custom family instance) or no shm on
-            # this platform: the pickled path is always available.
-            return None
 
     def run(self, tasks: Sequence[SolveTask]) -> List[Any]:
         if self.workers <= 1 or len(tasks) <= 1:
@@ -215,7 +189,7 @@ class ProcessPoolExecutor:
             backend=self.name,
             tasks=len(tasks),
             workers=self.workers,
-        ) as sp:
+        ):
             chunksize = self.chunksize
             if chunksize is None:
                 chunksize = max(1, len(tasks) // (self.workers * 4) or 1)
@@ -223,22 +197,31 @@ class ProcessPoolExecutor:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 ctx = multiprocessing.get_context("spawn")
-            packed = self._shm_refs(tasks)
-            if packed is not None:
-                from .shm import solve_shm_task
+                with ctx.Pool(processes=self.workers) as pool:
+                    return pool.map(_solve_task, tasks, chunksize=chunksize)
+            token = next(_BATCH_TOKENS)
+            _FORKED_BATCHES[token] = tasks
+            try:
+                with ctx.Pool(processes=self.workers) as pool:
+                    return pool.map(
+                        _solve_forked,
+                        [(token, i) for i in range(len(tasks))],
+                        chunksize=chunksize,
+                    )
+            finally:
+                del _FORKED_BATCHES[token]
 
-                sp.set("shm", True)
-                segment, refs = packed
-                try:
-                    with ctx.Pool(processes=self.workers) as pool:
-                        return pool.map(
-                            solve_shm_task, refs, chunksize=chunksize
-                        )
-                finally:
-                    segment.close()
-                    segment.unlink()
-            with ctx.Pool(processes=self.workers) as pool:
-                return pool.map(_solve_task, tasks, chunksize=chunksize)
+
+#: Batches in flight on forked pools, by token; workers inherit the
+#: table at fork and look their tasks up instead of unpickling them.
+_FORKED_BATCHES: Dict[int, Sequence[SolveTask]] = {}
+_BATCH_TOKENS = itertools.count()
+
+
+def _solve_forked(ref: Tuple[int, int]) -> Any:
+    """Worker entry: solve task ``i`` of the inherited batch ``token``."""
+    token, i = ref
+    return _solve_task(_FORKED_BATCHES[token][i])
 
 
 class _Inflight:
@@ -508,7 +491,10 @@ class ShardedExecutor:
         self.use_cache = use_cache
         #: Recorded (not propagated) shard failures, most recent last.
         self.failures: List[Dict[str, Any]] = []
-        self._shard_locks = [threading.Lock() for _ in self.shards]
+        #: One lock per shard client: every call into a client (and a
+        #: ``ShardedClient`` stream pump, for its sub-stream's life)
+        #: holds it, so one connection never serves two requests.
+        self.shard_locks = [threading.Lock() for _ in self.shards]
         # probe_interval opts into FleetHealth's background half-open
         # prober: ejected shards get an out-of-band liveness ping
         # instead of waiting for real traffic to pay the probe.  Only
@@ -538,7 +524,7 @@ class ShardedExecutor:
         ping = getattr(self.shards[shard], "ping", None)
         if ping is None:
             return True
-        with self._shard_locks[shard]:
+        with self.shard_locks[shard]:
             return bool(ping())
 
     def with_deadline(
@@ -605,7 +591,7 @@ class ShardedExecutor:
         with obs_trace.span(
             "shard.solve_many", shard=shard, tasks=len(tasks)
         ):
-            with self._shard_locks[shard]:
+            with self.shard_locks[shard]:
                 for objective, positions in by_objective.items():
                     served = client.solve_many(
                         [tasks[p].instance for p in positions],
@@ -725,7 +711,7 @@ class ShardedExecutor:
                 "health": self.health.circuit(i).stats()
             }
             try:
-                with self._shard_locks[i]:
+                with self.shard_locks[i]:
                     tiers = client.cache_stats()
                 for tier, counters in tiers.items():
                     entry[tier] = counters

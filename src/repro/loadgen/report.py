@@ -4,8 +4,8 @@
 suite and ``repro loadgen`` — and CI runs them concurrently in one
 job matrix, so the historical read-modify-write append lost entries
 under races.  :func:`append_history` is the one shared append path:
-an ``fcntl`` exclusive lock on a sidecar ``.lock`` file (the same
-pattern as :mod:`repro.engine.store`) brackets the read, the append
+an ``fcntl`` exclusive lock on a sidecar ``.lock`` file (the
+:mod:`repro.engine.store` lock itself) brackets the read, the append
 and an atomic ``os.replace`` publish, so concurrent writers serialize
 and a reader never sees a half-written file.
 """
@@ -19,10 +19,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-try:  # pragma: no cover - exercised only where fcntl exists
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from ..engine.store import _FileLock
 
 __all__ = [
     "HISTORY_ENV_VAR",
@@ -54,27 +51,6 @@ def host_info() -> Dict[str, Any]:
         "python": platform.python_version(),
         "cpus": os.cpu_count() or 0,
     }
-
-
-class _FileLock:
-    """``flock``-based exclusive lock (no-op where fcntl is missing)."""
-
-    def __init__(self, path: Path) -> None:
-        self._path = path
-        self._fh = None
-
-    def __enter__(self) -> "_FileLock":
-        self._fh = open(self._path, "a+b")
-        if fcntl is not None:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._fh is not None:
-            if fcntl is not None:
-                fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-            self._fh.close()
-            self._fh = None
 
 
 def append_history(

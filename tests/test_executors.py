@@ -6,7 +6,8 @@ The acceptance bar for the pluggable backends: ``solve_many`` with
 seeded instances per family.  On top of that, unit tests pin the
 executor contracts (bounded concurrency, per-request deadlines,
 in-flight coalescing of the async backend; ordered deterministic
-chunking of the process backend), the in-batch fingerprint dedup of
+chunking of the process backend, whose forked workers read their
+tasks in place), the in-batch fingerprint dedup of
 ``solve_many``, and the tiered cache stack's promotion/write-through
 semantics.
 """
@@ -172,6 +173,85 @@ class TestInBatchDedup:
             canonical(r) for r in process
         ]
         assert canonical(serial[0]) == canonical(serial[-1])
+
+
+# ----------------------------------------------------------------------
+# process executor: forked workers read the batch in place
+# ----------------------------------------------------------------------
+
+
+def _minbusy_tasks(seeds):
+    return [
+        plan_solve(family_instance("minbusy", seed)[0], "minbusy", {}).task()
+        for seed in seeds
+    ]
+
+
+class TestForkedHandOff:
+    def test_tasks_never_cross_the_pipe(self, session, monkeypatch):
+        """Workers inherit the batch at fork: pickling an instance
+        fails, yet the process backend still matches serial."""
+        from repro.core.instance import Instance
+
+        instances = [family_instance("minbusy", s)[0] for s in range(4)]
+        serial = session.solve_many(
+            instances, "minbusy", backend="serial", use_cache=False
+        )
+
+        def refuse(self):
+            raise TypeError("an Instance was pickled")
+
+        monkeypatch.setattr(Instance, "__getstate__", refuse)
+        process = session.solve_many(
+            instances,
+            "minbusy",
+            backend="process",
+            workers=2,
+            use_cache=False,
+        )
+        assert [canonical(r) for r in process] == [
+            canonical(r) for r in serial
+        ]
+
+    def test_concurrent_batches_stay_isolated(self):
+        batches = [_minbusy_tasks(range(0, 6)), _minbusy_tasks(range(6, 10))]
+        expected = [
+            [canonical(r) for r in SerialExecutor().run(tasks)]
+            for tasks in batches
+        ]
+        got = [None, None]
+        errors = []
+
+        def run(slot):
+            try:
+                results = ProcessPoolExecutor(2).run(batches[slot])
+                got[slot] = [canonical(r) for r in results]
+            except BaseException as exc:  # pragma: no cover - reported
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert got == expected
+        assert executors_module._FORKED_BATCHES == {}
+
+    def test_batch_table_emptied_on_return_and_raise(self):
+        ProcessPoolExecutor(2).run(_minbusy_tasks(range(3)))
+        assert executors_module._FORKED_BATCHES == {}
+
+        good = _minbusy_tasks(range(2))
+        bad = SolveTask(
+            instance=good[0].instance,
+            objective="no-such-objective",
+            fingerprint=good[0].fingerprint,
+            key="no-such-objective:" + good[0].fingerprint,
+        )
+        with pytest.raises(ValueError, match="unknown objective"):
+            ProcessPoolExecutor(2).run(good + [bad])
+        assert executors_module._FORKED_BATCHES == {}
 
 
 # ----------------------------------------------------------------------

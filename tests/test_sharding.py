@@ -509,6 +509,44 @@ class SlowShard:
         self.inner.close()
 
 
+class PacedStreamShard:
+    """Streams its first result at once and each later one after
+    ``pause`` seconds; its other calls record whether one of its
+    streams was open when they were entered (a remote shard's single
+    connection would be mid-stream then)."""
+
+    def __init__(self, inner: Session, pause: float = 0.2) -> None:
+        self.inner = inner
+        self.pause = pause
+        self.open_streams = 0
+        self.entered_mid_stream: list = []
+
+    def solve_stream(self, instances, objective=None, **kwargs):
+        self.open_streams += 1
+        try:
+            stream = self.inner.solve_stream(instances, objective, **kwargs)
+            for k, result in enumerate(stream):
+                if k:
+                    time.sleep(self.pause)
+                yield result
+        finally:
+            self.open_streams -= 1
+
+    def solve_many(self, instances, objective=None, **kwargs):
+        return self.inner.solve_many(instances, objective, **kwargs)
+
+    def cache_stats(self):
+        self.entered_mid_stream.append(("cache_stats", self.open_streams > 0))
+        return self.inner.cache_stats()
+
+    def objectives(self):
+        self.entered_mid_stream.append(("objectives", self.open_streams > 0))
+        return self.inner.objectives()
+
+    def close(self) -> None:
+        self.inner.close()
+
+
 class FirstShardPartitioner:
     """Everything owned by shard 0; failover in index order."""
 
@@ -752,6 +790,30 @@ class TestShardedClientLocal:
         )
         try:
             got = [canonical(r) for r in client.solve_stream(instances)]
+            assert got == expected
+        finally:
+            client.close()
+
+    def test_fleet_calls_wait_for_an_open_stream(self):
+        """``cache_stats``/``objectives`` between two streamed results
+        must not reach the shard while its sub-stream is open: they
+        wait on the shard lock the stream's pump holds."""
+        instances = minbusy_batch(3)
+        expected = reference_docs(instances)
+        shard = PacedStreamShard(local_shard())
+        client = ShardedClient([shard])
+        try:
+            stream = client.solve_stream(instances)
+            got = [canonical(next(stream))]
+            stats = client.cache_stats()["shards"]["shard0"]
+            listing = client.objectives()
+            got += [canonical(r) for r in stream]
+            assert shard.entered_mid_stream == [
+                ("cache_stats", False),
+                ("objectives", False),
+            ]
+            assert "stats_error" not in stats["health"]
+            assert "minbusy" in listing
             assert got == expected
         finally:
             client.close()

@@ -1,11 +1,10 @@
-"""Binary wire format: codec, negotiation, caps, shm path, interning.
+"""Binary wire format: codec, negotiation, caps, interning.
 
 The binary protocol's contract is *transparency*: every document the
 NDJSON wire carries must round-trip the binary framing bit-exactly
-(``decode ∘ encode = id``), a binary-unaware peer must keep working
-against an upgraded server byte-identically, and the shared-memory
-executor path riding the same machinery must be bit-exact against
-serial solves.  These tests pin all of it:
+(``decode ∘ encode = id``), and a binary-unaware peer must keep
+working against an upgraded server byte-identically.  These tests pin
+all of it:
 
 * codec round-trips over every registry family's instance *and*
   result documents (schedules included: empty ones, and the tree
@@ -18,7 +17,6 @@ serial solves.  These tests pin all of it:
   twins of the loadgen fuzzer's mutations);
 * a mixed one-binary-one-NDJSON fleet under ``ShardedClient``
   byte-identical to a local session;
-* the shared-memory executor byte-identical to serial solves;
 * column interning: pools, codec, negotiation, replay-cache lockstep.
 """
 
@@ -649,116 +647,6 @@ class TestLoadgenBinaryWire:
             r.mutation for r in again
         ]
         assert all(r.frame_mutation is None for r in baseline)
-
-
-# ----------------------------------------------------------------------
-# shared-memory executor path: bit-exact vs serial
-# ----------------------------------------------------------------------
-
-
-class TestSharedMemoryExecutor:
-    @pytest.mark.parametrize(
-        "family", ["minbusy", "maxthroughput", "energy", "capacity"]
-    )
-    def test_shm_byte_identical_to_serial(self, family, monkeypatch):
-        # Force every batch through the shm path regardless of size.
-        monkeypatch.setenv("REPRO_SHM_MIN_JOBS", "0")
-        pairs = [family_instance(family, seed) for seed in range(12)]
-        instances = [inst for inst, _ in pairs]
-        params = pairs[0][1]
-        with Session(store_path=None) as session:
-            serial = session.solve_many(
-                instances,
-                family,
-                backend="serial",
-                use_cache=False,
-                **params,
-            )
-        with Session(store_path=None) as session:
-            shm = session.solve_many(
-                instances,
-                family,
-                backend="process",
-                workers=2,
-                use_cache=False,
-                **params,
-            )
-        assert [canonical(r) for r in shm] == [
-            canonical(r) for r in serial
-        ]
-
-    def test_negative_threshold_opts_out(self, monkeypatch):
-        """``REPRO_SHM_MIN_JOBS=-1`` pins the pickled path — and the
-        results stay identical, because shm is an optimization only."""
-        from repro.engine.shm import shm_min_jobs
-
-        monkeypatch.setenv("REPRO_SHM_MIN_JOBS", "-1")
-        assert shm_min_jobs() == -1
-        pairs = [family_instance("minbusy", seed) for seed in range(6)]
-        instances = [inst for inst, _ in pairs]
-        with Session(store_path=None) as session:
-            serial = session.solve_many(
-                instances, "minbusy", backend="serial", use_cache=False
-            )
-        with Session(store_path=None) as session:
-            pickled = session.solve_many(
-                instances,
-                "minbusy",
-                backend="process",
-                workers=2,
-                use_cache=False,
-            )
-        assert [canonical(r) for r in pickled] == [
-            canonical(r) for r in serial
-        ]
-
-    def test_threshold_env_parsing(self, monkeypatch):
-        from repro.engine.shm import SHM_MIN_JOBS, shm_min_jobs
-
-        monkeypatch.delenv("REPRO_SHM_MIN_JOBS", raising=False)
-        assert shm_min_jobs() == SHM_MIN_JOBS
-        monkeypatch.setenv("REPRO_SHM_MIN_JOBS", "123")
-        assert shm_min_jobs() == 123
-        monkeypatch.setenv("REPRO_SHM_MIN_JOBS", "")
-        assert shm_min_jobs() == SHM_MIN_JOBS
-        monkeypatch.setenv("REPRO_SHM_MIN_JOBS", "not-a-number")
-        with pytest.raises(ValueError, match="REPRO_SHM_MIN_JOBS"):
-            shm_min_jobs()
-
-    def test_gating_respects_threshold(self):
-        """`_shm_refs` declines small batches and opted-out runs."""
-        from repro.engine.executors import ProcessPoolExecutor, SolveTask
-
-        pairs = [family_instance("minbusy", seed) for seed in range(3)]
-        tasks = [
-            SolveTask(
-                instance=inst,
-                objective="minbusy",
-                fingerprint=f"fp{i}",
-                key=f"minbusy:fp{i}",
-            )
-            for i, (inst, _) in enumerate(pairs)
-        ]
-        assert (
-            ProcessPoolExecutor(workers=2, shm_min_jobs=-1)._shm_refs(tasks)
-            is None
-        )
-        assert (
-            ProcessPoolExecutor(workers=2, shm_min_jobs=10**9)._shm_refs(
-                tasks
-            )
-            is None
-        )
-        packed = ProcessPoolExecutor(workers=2, shm_min_jobs=0)._shm_refs(
-            tasks
-        )
-        assert packed is not None
-        segment, refs = packed
-        try:
-            assert len(refs) == len(tasks)
-        finally:
-            segment.close()
-            segment.unlink()
 
 
 # ----------------------------------------------------------------------
