@@ -7,7 +7,7 @@ implementations, so local and remote solving are interchangeable:
 
 * :class:`Session` — in-process; owns a private
   :class:`EngineConfig` (result LRU, persistent-store binding,
-  executor backend/workers, default deadline/objective), so two
+  executor backend/workers, default deadline, repair tier), so two
   sessions in one process have disjoint cache stacks;
 * :class:`RemoteSession` — the same calls over a ``repro serve``
   socket (:class:`~repro.service.client.ServiceClient` underneath);

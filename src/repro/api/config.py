@@ -2,13 +2,18 @@
 
 An :class:`EngineConfig` is the engine's whole configuration — the
 LRU bound, the persistent-store binding, the executor backend and its
-worker count, the default per-request deadline and default objective —
-collected into one immutable value that a :class:`repro.api.Session` owns.  Two
-sessions in one process can therefore run disjoint cache stacks and
-different backends.  :meth:`EngineConfig.from_env` is the
-configuration the process environment asks for; a bare
-:class:`~repro.service.server.SolveServer` serves from
-``Session(EngineConfig.from_env())``.
+worker count, the default per-request deadline and the repair-tier
+switch — collected into one immutable value that a
+:class:`repro.api.Session` owns.  Two sessions in one process can
+therefore run disjoint cache stacks and different backends.
+
+:meth:`EngineConfig.from_env` is the one reader of the environment's
+engine settings (``REPRO_REPAIR``; the store binding follows
+``REPRO_CACHE_DIR`` by itself).  The CLI overlays its flags on it and
+a bare :class:`~repro.service.server.SolveServer` serves from
+``Session(EngineConfig.from_env())``.  ``REPRO_SHARDS`` is not an
+engine setting: it names the fleet the CLI assembles
+(:func:`parse_shards` → :meth:`~repro.api.ShardedClient.from_specs`).
 
 The store binding has three states:
 
@@ -22,7 +27,7 @@ The store binding has three states:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Tuple, Union
 
 from ..engine.cache import DEFAULT_CACHE_SIZE
@@ -235,41 +240,20 @@ class EngineConfig:
     (seconds) is the default per-solve time bound — it requires a
     backend that can enforce it, so combining it with an explicit
     ``serial``/``process`` backend is rejected (under ``auto`` the
-    session picks the async backend instead).  ``objective`` is the
-    default objective of ``solve``/``solve_many`` calls that do not
-    name one.
+    session picks the async backend instead).
     """
 
     cache_size: int = DEFAULT_CACHE_SIZE
     store_path: StorePath = FOLLOW_ENV
     backend: str = "auto"
     workers: Optional[int] = None
-    chunksize: Optional[int] = None
     deadline: Optional[float] = None
-    objective: str = "minbusy"
     #: Enable the near-miss repair tier between the LRU and the store
     #: (:class:`repro.engine.repair.RepairTier`).  Only takes effect
     #: when a persistent store is bound; default off.
     repair: bool = False
-    #: Shard fleet for sharded clients/servers; entries may be given
-    #: as ``ShardSpec`` objects or ``"host:port"``/``"local"`` strings
-    #: (normalized here).  Empty = unsharded.
-    shards: Tuple[ShardSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        normalized = tuple(
-            parse_shard_entry(s, source="shards")
-            if isinstance(s, str)
-            else s
-            for s in self.shards
-        )
-        for spec in normalized:
-            if not isinstance(spec, ShardSpec):
-                raise ValueError(
-                    f"shards entries must be ShardSpec or str, got "
-                    f"{type(spec).__name__}"
-                )
-        object.__setattr__(self, "shards", normalized)
         if self.cache_size < 1:
             raise ValueError(
                 f"cache_size must be >= 1, got {self.cache_size}"
@@ -298,36 +282,13 @@ class EngineConfig:
     ) -> "EngineConfig":
         """The configuration the process environment asks for.
 
-        Reads ``REPRO_BACKEND``, ``REPRO_WORKERS``, ``REPRO_DEADLINE``,
-        ``REPRO_CACHE_SIZE`` and ``REPRO_SHARDS`` when present; the
-        store binding stays :data:`FOLLOW_ENV` so later
-        ``REPRO_CACHE_DIR`` changes keep taking effect.
+        Reads ``REPRO_REPAIR`` when present (junk raises a
+        ``ValueError`` naming the variable); the store binding stays
+        :data:`FOLLOW_ENV` so later ``REPRO_CACHE_DIR`` changes keep
+        taking effect.
         """
         env = os.environ if environ is None else environ
-
-        def parse(var: str, cast):
-            raw = env[var]
-            try:
-                return cast(raw)
-            except ValueError as exc:
-                raise ValueError(
-                    f"environment variable {var}={raw!r} is not a "
-                    f"valid {cast.__name__}; fix or unset it"
-                ) from exc
-
-        kwargs: dict = {}
-        if env.get("REPRO_BACKEND"):
-            kwargs["backend"] = env["REPRO_BACKEND"]
-        if env.get("REPRO_WORKERS"):
-            kwargs["workers"] = parse("REPRO_WORKERS", int)
-        if env.get("REPRO_DEADLINE"):
-            kwargs["deadline"] = parse("REPRO_DEADLINE", float)
-        if env.get("REPRO_CACHE_SIZE"):
-            kwargs["cache_size"] = parse("REPRO_CACHE_SIZE", int)
-        if env.get(REPAIR_ENV_VAR):
-            kwargs["repair"] = parse_bool_env(
-                REPAIR_ENV_VAR, env[REPAIR_ENV_VAR]
-            )
-        if env.get(SHARDS_ENV_VAR):
-            kwargs["shards"] = parse_shards(env[SHARDS_ENV_VAR])
-        return cls(**kwargs)
+        raw = env.get(REPAIR_ENV_VAR)
+        if not raw:
+            return cls()
+        return cls(repair=parse_bool_env(REPAIR_ENV_VAR, raw))

@@ -38,6 +38,7 @@ from typing import (
 )
 
 from ..engine.engine import (
+    MINBUSY,
     EngineResult,
     SolvePlan,
     _schedule_for,
@@ -108,12 +109,11 @@ class RemoteSession:
     """A :class:`~repro.api.protocol.SolverClient` over one ``repro
     serve`` connection.
 
-    ``config`` only contributes call-shaping defaults (default
-    objective, default deadline) — the cache stack lives in the
-    server's session, which is what makes N remote sessions against
-    one server share its warm tiers.  Pass an existing
-    :class:`ServiceClient` via ``client=`` to manage the transport
-    yourself (e.g. custom timeouts)::
+    ``config`` only contributes the default deadline — the cache stack
+    lives in the server's session, which is what makes N remote
+    sessions against one server share its warm tiers.  The transport
+    is a :class:`ServiceClient` built from ``host``, ``port``,
+    ``timeout`` and ``wire``::
 
         with RemoteSession(port=8753) as remote:
             res = remote.solve(instance)            # same call as Session
@@ -124,7 +124,6 @@ class RemoteSession:
         host: str = "127.0.0.1",
         port: int = 8753,
         *,
-        client: Optional[ServiceClient] = None,
         timeout: Optional[float] = 30.0,
         config: Optional[EngineConfig] = None,
         wire: Optional[str] = None,
@@ -133,11 +132,7 @@ class RemoteSession:
         # ServiceClient ("ndjson"/"binary"/"auto"; None reads
         # REPRO_WIRE) — results are canonically identical either way,
         # only the framing changes.
-        self.client = (
-            client
-            if client is not None
-            else ServiceClient(host, port, timeout=timeout, wire=wire)
-        )
+        self.client = ServiceClient(host, port, timeout=timeout, wire=wire)
         self.config = config if config is not None else EngineConfig()
 
     # ------------------------------------------------------------------
@@ -149,9 +144,7 @@ class RemoteSession:
         objective: Optional[str],
         params: Dict[str, Any],
     ) -> Tuple[SolvePlan, Dict[str, Any], Dict[str, Any]]:
-        plan = plan_solve(
-            instance, objective or self.config.objective, params
-        )
+        plan = plan_solve(instance, objective or MINBUSY, params)
         doc, wire_params = objective_instance_to_dict(
             plan.instance, plan.spec.name
         )

@@ -39,6 +39,7 @@ from typing import (
 
 from ..engine.cache import CacheInfo, LRUCache
 from ..engine.engine import (
+    MINBUSY,
     EngineResult,
     SolvePlan,
     _verified,
@@ -195,10 +196,8 @@ class Session:
         objective: Optional[str] = None,
         params: Optional[Dict[str, Any]] = None,
     ) -> SolvePlan:
-        """Registry dispatch with this session's default objective."""
-        return plan_solve(
-            instance, objective or self.config.objective, params
-        )
+        """Registry dispatch; ``objective`` defaults to MinBusy."""
+        return plan_solve(instance, objective or MINBUSY, params)
 
     def cached_result(self, plan: SolvePlan) -> Optional[EngineResult]:
         """One tiered probe of this session's stack (with promotion)."""
@@ -215,7 +214,6 @@ class Session:
         backend: Optional[str],
         *,
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         deadline: Optional[float] = None,
         single: bool = False,
     ) -> Executor:
@@ -242,8 +240,6 @@ class Session:
         backend = backend or self.config.backend
         if workers is None:
             workers = self.config.workers
-        if chunksize is None:
-            chunksize = self.config.chunksize
         if deadline is None:
             deadline = self.config.deadline
         backend = enforceable_backend(backend, deadline)
@@ -254,9 +250,7 @@ class Session:
                 "serial" if backend == "auto" else backend,
                 deadline=deadline,
             )
-        return resolve_executor(
-            backend, workers=workers, chunksize=chunksize, deadline=deadline
-        )
+        return resolve_executor(backend, workers=workers, deadline=deadline)
 
     # ------------------------------------------------------------------
     # SolverClient surface
@@ -277,7 +271,7 @@ class Session:
         """Solve one instance with the strongest applicable algorithm.
 
         ``objective`` is any registered objective name or alias —
-        ``minbusy`` (the config default), ``maxthroughput`` (alias
+        ``minbusy`` (the default), ``maxthroughput`` (alias
         ``throughput``), ``capacity``, ``rect2d``, ``ring``, ``tree``,
         ``flexible``, ``energy``; see :meth:`objectives`.  Family
         parameters ride along as keywords (``budget=`` for
@@ -323,7 +317,6 @@ class Session:
         *,
         budget: Optional[float] = None,
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         use_cache: bool = True,
         backend: Optional[str] = None,
         deadline: Optional[float] = None,
@@ -351,7 +344,7 @@ class Session:
         if budget is not None:
             params["budget"] = budget
         t0 = time.perf_counter()
-        objective = objective or self.config.objective
+        objective = objective or MINBUSY
         plans = [
             plan_solve(inst, objective, params) for inst in instances
         ]
@@ -403,10 +396,7 @@ class Session:
 
             if executor is None:
                 executor = self._executor(
-                    backend,
-                    workers=workers,
-                    chunksize=chunksize,
-                    deadline=deadline,
+                    backend, workers=workers, deadline=deadline
                 )
             solved_list = executor.run([plans[i].task() for i in unique])
             solved = {

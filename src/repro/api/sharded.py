@@ -51,7 +51,7 @@ from typing import (
     Set,
 )
 
-from ..engine.engine import EngineResult, SolvePlan, plan_solve
+from ..engine.engine import MINBUSY, EngineResult, SolvePlan, plan_solve
 from ..engine.executors import ShardedExecutor
 from ..engine.partition import Partitioner, RingPartitioner
 from .config import EngineConfig, ShardSpec, parse_shard_entry
@@ -77,7 +77,7 @@ class ShardedClient:
         results = fleet.solve_many(instances)   # same bytes, 3-way split
 
     ``config`` shapes the *router* session (its LRU bound, default
-    objective/deadline, optionally a store); by default the router
+    deadline, optionally a store); by default the router
     carries no persistent store — the shards' caches are the fleet's
     memory.
     """
@@ -90,7 +90,6 @@ class ShardedClient:
         partitioner: Optional[Partitioner] = None,
         weights: Optional[Sequence[float]] = None,
         hedge_delay: Optional[float] = None,
-        probe_interval: Optional[float] = None,
     ) -> None:
         if not clients:
             raise ValueError("ShardedClient needs at least one client")
@@ -109,15 +108,11 @@ class ShardedClient:
                 if weights is not None
                 else [1.0] * len(self.clients)
             )
-        # probe_interval opts into the fleet's background half-open
-        # prober: ejected shards get pinged out of band every interval
-        # instead of waiting for live traffic to test them.
         self.executor = ShardedExecutor(
             self.clients,
             partitioner=partitioner,
             deadline=config.deadline,
             hedge_delay=hedge_delay,
-            probe_interval=probe_interval,
         )
         # The router: a full local pipeline (LRU probe, fingerprint
         # dedup, install) whose execute slot is the fleet.
@@ -139,7 +134,6 @@ class ShardedClient:
         config: Optional[EngineConfig] = None,
         hedge_delay: Optional[float] = None,
         timeout: Optional[float] = 30.0,
-        probe_interval: Optional[float] = None,
     ) -> "ShardedClient":
         """Build a fleet from :class:`~repro.api.config.ShardSpec`\\ s
         (or their string spellings — ``"host:port*weight"``/``"local"``).
@@ -194,7 +188,6 @@ class ShardedClient:
             config=base,
             weights=[spec.weight for spec in parsed],
             hedge_delay=hedge_delay,
-            probe_interval=probe_interval,
         )
 
     # ------------------------------------------------------------------
@@ -210,9 +203,7 @@ class ShardedClient:
         objective: Optional[str],
         params: Dict[str, Any],
     ) -> SolvePlan:
-        return plan_solve(
-            instance, objective or self.config.objective, params
-        )
+        return plan_solve(instance, objective or MINBUSY, params)
 
     # ------------------------------------------------------------------
     # SolverClient surface (delegated to the router session)
@@ -333,7 +324,7 @@ class ShardedClient:
             failed = False
             try:
                 # The shard lock spans the whole sub-stream: a fleet
-                # call (stats, objectives, probe) between two streamed
+                # call (stats, objectives) between two streamed
                 # results would otherwise interleave on its connection.
                 with self.executor.shard_locks[shard]:
                     try:
@@ -481,9 +472,6 @@ class ShardedClient:
             if self._closed:
                 return
             self._closed = True
-        # Stop the background half-open prober first: a probe racing
-        # the shard closes below would record spurious failures.
-        self.executor.health.close()
         with self._pump_lock:
             for stop in list(self._stops):
                 stop.set()

@@ -201,9 +201,9 @@ def session_from_args(
     """One :class:`repro.api.Session` built from the shared engine flags.
 
     Both ``repro solve`` and ``repro serve`` construct their engine
-    state here — the one place the CLI turns flags/environment into an
-    :class:`~repro.api.EngineConfig` — instead of mutating module
-    globals.  The store binding is resolved eagerly (inside ``Session``
+    state here: the flags overlaid on
+    :meth:`~repro.api.EngineConfig.from_env` (the one reader of the
+    environment's engine settings) with ``replace``.  The store binding is resolved eagerly (inside ``Session``
     construction) so an unusable store directory (unwritable, or a
     path through a regular file) fails with an actionable message
     instead of a traceback mid-solve; an unenforceable
@@ -219,16 +219,7 @@ def session_from_args(
     LRU flags then shape the *router*; the shards own their own
     caches.
     """
-    import os
-
-    from .api import (
-        FOLLOW_ENV,
-        REPAIR_ENV_VAR,
-        EngineConfig,
-        Session,
-        ShardedClient,
-        parse_bool_env,
-    )
+    from .api import FOLLOW_ENV, EngineConfig, Session, ShardedClient
 
     specs = _shard_specs(args)
 
@@ -243,18 +234,11 @@ def session_from_args(
         kwargs["cache_size"] = args.cache_size
     if include_deadline:
         kwargs["deadline"] = getattr(args, "deadline", None)
-    raw_repair = os.environ.get(REPAIR_ENV_VAR)
-    if raw_repair:
-        try:
-            kwargs["repair"] = parse_bool_env(REPAIR_ENV_VAR, raw_repair)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
     try:
-        config = EngineConfig(
+        config = EngineConfig.from_env().replace(
             store_path=store,
             backend=args.backend or default_backend,
             workers=getattr(args, "workers", None),
-            shards=tuple(specs),
             **kwargs,
         )
     except ValueError as exc:
@@ -798,13 +782,11 @@ def _collect_trace_spans(args: argparse.Namespace) -> List[dict]:
     sink lines are skipped, not fatal — a half-written final line is
     normal while a traced process is still running.
     """
-    import os
-
     from .obs import trace as obs_trace
 
     spans = list(obs_trace.ring_spans())
     seen = {(s.get("trace_id"), s.get("span_id")) for s in spans}
-    root = args.dir or os.environ.get(obs_trace.TRACE_DIR_ENV_VAR)
+    root = args.dir or obs_trace.sink_dir()
     if root:
         for path in sorted(Path(root).glob("spans-*.jsonl")):
             try:

@@ -160,9 +160,9 @@ class ProcessPoolExecutor:
     """Deterministic chunked fan-out over a ``multiprocessing`` pool.
 
     ``pool.map`` preserves submission order, so the output equals the
-    serial path regardless of worker scheduling; ``chunksize`` defaults
-    to ~4 chunks per worker.  Single-task batches short-circuit to the
-    serial path (a pool would only add fork/teardown cost).
+    serial path regardless of worker scheduling; each worker gets ~4
+    chunks.  Single-task batches short-circuit to the serial path (a
+    pool would only add fork/teardown cost).
 
     Workers are forked after the batch is parked in a module-level
     table, so they read their tasks in place: only ``(token, index)``
@@ -172,13 +172,10 @@ class ProcessPoolExecutor:
 
     name = "process"
 
-    def __init__(
-        self, workers: int = 2, chunksize: Optional[int] = None
-    ) -> None:
+    def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.chunksize = chunksize
 
     def run(self, tasks: Sequence[SolveTask]) -> List[Any]:
         if self.workers <= 1 or len(tasks) <= 1:
@@ -190,15 +187,13 @@ class ProcessPoolExecutor:
             tasks=len(tasks),
             workers=self.workers,
         ):
-            chunksize = self.chunksize
-            if chunksize is None:
-                chunksize = max(1, len(tasks) // (self.workers * 4) or 1)
+            chunk = max(1, len(tasks) // (self.workers * 4))
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 ctx = multiprocessing.get_context("spawn")
                 with ctx.Pool(processes=self.workers) as pool:
-                    return pool.map(_solve_task, tasks, chunksize=chunksize)
+                    return pool.map(_solve_task, tasks, chunksize=chunk)
             token = next(_BATCH_TOKENS)
             _FORKED_BATCHES[token] = tasks
             try:
@@ -206,7 +201,7 @@ class ProcessPoolExecutor:
                     return pool.map(
                         _solve_forked,
                         [(token, i) for i in range(len(tasks))],
-                        chunksize=chunksize,
+                        chunksize=chunk,
                     )
             finally:
                 del _FORKED_BATCHES[token]
@@ -468,8 +463,6 @@ class ShardedExecutor:
         deadline: Optional[float] = None,
         hedge_delay: Optional[float] = None,
         use_cache: bool = True,
-        health: Optional[FleetHealth] = None,
-        probe_interval: Optional[float] = None,
     ) -> None:
         if not shards:
             raise ValueError("ShardedExecutor needs at least one shard")
@@ -495,37 +488,7 @@ class ShardedExecutor:
         #: ``ShardedClient`` stream pump, for its sub-stream's life)
         #: holds it, so one connection never serves two requests.
         self.shard_locks = [threading.Lock() for _ in self.shards]
-        # probe_interval opts into FleetHealth's background half-open
-        # prober: ejected shards get an out-of-band liveness ping
-        # instead of waiting for real traffic to pay the probe.  Only
-        # wired when this executor builds its own health (an injected
-        # one owns its probing policy).
-        if health is not None:
-            self.health = health
-        else:
-            self.health = FleetHealth(
-                len(self.shards),
-                prober=(
-                    self._probe_shard
-                    if probe_interval is not None
-                    else None
-                ),
-                probe_interval=probe_interval,
-            )
-
-    def _probe_shard(self, shard: int) -> bool:
-        """One out-of-band liveness check (the half-open probe).
-
-        Remote shards answer a wire ping — under the shard lock, they
-        hold one socket; a local in-process shard is trivially alive.
-        Transport errors propagate: the caller records them as probe
-        failures.
-        """
-        ping = getattr(self.shards[shard], "ping", None)
-        if ping is None:
-            return True
-        with self.shard_locks[shard]:
-            return bool(ping())
+        self.health = FleetHealth(len(self.shards))
 
     def with_deadline(
         self, deadline: Optional[float]
@@ -734,7 +697,6 @@ def resolve_executor(
     backend: str = "auto",
     *,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> Executor:
     """Map the public ``backend=`` knob onto a concrete executor.
@@ -747,12 +709,12 @@ def resolve_executor(
     """
     if backend == "auto":
         if workers is not None and workers >= 2:
-            return ProcessPoolExecutor(workers, chunksize)
+            return ProcessPoolExecutor(workers)
         return SerialExecutor()
     if backend == "serial":
         return SerialExecutor()
     if backend == "process":
-        return ProcessPoolExecutor(workers or 2, chunksize)
+        return ProcessPoolExecutor(workers or 2)
     if backend == "async":
         return AsyncQueueExecutor(workers or 8, deadline=deadline)
     raise ValueError(

@@ -19,19 +19,8 @@ may I route to right now", and renders flat-dict stats suitable for
 embedding in ``cache_stats`` documents (every leaf is a plain counter
 mapping, the shape the conformance suite pins).
 
-With passive circuits alone, a half-open shard heals only when real
-traffic happens to route there — and that request pays the probe.
-The opt-in background prober (``probe_interval=`` seconds plus a
-``prober(shard) -> bool`` callback) moves that cost out of band: a
-daemon thread wakes every interval and :meth:`probe_once` sends one
-liveness check to each ejected circuit whose backoff expired, healing
-or re-ejecting it before any request is routed its way.  Tests drive
-:meth:`probe_once` directly with an injected clock — no thread, no
-sleeping.
-
 All state transitions run under one lock — the sharded executor
-records successes/failures from concurrent fan-out threads (probes
-themselves run outside it; they do network I/O).
+records successes/failures from concurrent fan-out threads.
 """
 
 from __future__ import annotations
@@ -136,8 +125,6 @@ class FleetHealth:
         probe_backoff: float = 1.0,
         max_backoff: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        prober: Optional[Callable[[int], bool]] = None,
-        probe_interval: Optional[float] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -151,29 +138,6 @@ class FleetHealth:
             )
             for _ in range(n_shards)
         ]
-        self._prober = prober
-        self._probe_stop = threading.Event()
-        self._probe_thread: Optional[threading.Thread] = None
-        self.probes = 0
-        self.probe_heals = 0
-        if probe_interval is not None:
-            if prober is None:
-                raise ValueError(
-                    "probe_interval needs a prober(shard) -> bool "
-                    "callback to send the liveness checks"
-                )
-            if probe_interval <= 0:
-                raise ValueError(
-                    f"probe_interval must be > 0 seconds, "
-                    f"got {probe_interval}"
-                )
-            self._probe_thread = threading.Thread(
-                target=self._probe_loop,
-                args=(probe_interval,),
-                name="repro-fleet-prober",
-                daemon=True,
-            )
-            self._probe_thread.start()
 
     def __len__(self) -> int:
         return len(self._circuits)
@@ -217,53 +181,3 @@ class FleetHealth:
                 f"shard{i}": circuit.stats()
                 for i, circuit in enumerate(self._circuits)
             }
-
-    # ------------------------------------------------------------------
-    # background half-open probing (opt-in)
-    # ------------------------------------------------------------------
-    def probe_once(self) -> List[int]:
-        """Probe every half-open circuit; returns the shards probed.
-
-        A circuit is due when it is ejected and its backoff expired.
-        The prober runs *outside* the lock (it does network I/O); a
-        probe that returns falsy or raises counts as a failure —
-        re-ejecting with the backoff doubled — and a truthy return
-        heals the circuit before any real request routes there.  The
-        fake-clock test calls this directly; the daemon thread is just
-        this on a timer.
-        """
-        if self._prober is None:
-            return []
-        with self._lock:
-            due = [
-                i
-                for i, c in enumerate(self._circuits)
-                if c.state == EJECTED and c.available()
-            ]
-        for shard in due:
-            self.probes += 1
-            error: Optional[BaseException] = None
-            try:
-                ok = bool(self._prober(shard))
-            except Exception as exc:
-                ok = False
-                error = exc
-            if ok:
-                self.probe_heals += 1
-                self.record_success(shard)
-            else:
-                self.record_failure(shard, error)
-        return due
-
-    def _probe_loop(self, interval: float) -> None:
-        while not self._probe_stop.wait(interval):
-            self.probe_once()
-
-    def close(self) -> None:
-        """Stop the background prober thread (idempotent, no-op when
-        probing was never enabled)."""
-        self._probe_stop.set()
-        thread = self._probe_thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._probe_thread = None

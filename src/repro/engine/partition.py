@@ -29,14 +29,14 @@ import hashlib
 from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
 __all__ = [
-    "DEFAULT_REPLICAS_PER_UNIT",
+    "REPLICAS_PER_UNIT",
     "Partitioner",
     "RingPartitioner",
 ]
 
 #: Virtual nodes per unit of shard weight; ~100 keeps the max/min
 #: shard-share ratio within a few percent for equal weights.
-DEFAULT_REPLICAS_PER_UNIT = 100
+REPLICAS_PER_UNIT = 100
 
 
 def _ring_point(data: str) -> int:
@@ -68,12 +68,7 @@ class RingPartitioner:
     were — keys owned by survivors never move.
     """
 
-    def __init__(
-        self,
-        weights: Sequence[float],
-        *,
-        replicas_per_unit: int = DEFAULT_REPLICAS_PER_UNIT,
-    ) -> None:
+    def __init__(self, weights: Sequence[float]) -> None:
         weights = [float(w) for w in weights]
         if not weights:
             raise ValueError("RingPartitioner needs at least one shard weight")
@@ -82,16 +77,11 @@ class RingPartitioner:
                 raise ValueError(
                     f"shard weights must be > 0, got {w} for shard {i}"
                 )
-        if replicas_per_unit < 1:
-            raise ValueError(
-                f"replicas_per_unit must be >= 1, got {replicas_per_unit}"
-            )
         self.weights: Tuple[float, ...] = tuple(weights)
         self.n_shards = len(weights)
-        self.replicas_per_unit = replicas_per_unit
         placed: List[Tuple[int, int]] = []
         for shard, weight in enumerate(weights):
-            vnodes = max(1, round(replicas_per_unit * weight))
+            vnodes = max(1, round(REPLICAS_PER_UNIT * weight))
             for vnode in range(vnodes):
                 placed.append(
                     (_ring_point(f"shard{shard}:vnode{vnode}"), shard)
@@ -144,7 +134,4 @@ class RingPartitioner:
         return h.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RingPartitioner({list(self.weights)}, "
-            f"replicas_per_unit={self.replicas_per_unit})"
-        )
+        return f"RingPartitioner({list(self.weights)})"

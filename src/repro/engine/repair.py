@@ -99,6 +99,9 @@ _SIMIDX_DIR = "simidx"
 #: file replace per probe would dwarf the repair it is measuring.
 _COUNTER_FLUSH_EVERY = 64
 
+#: Candidates one probe hands to the repair attempt, at most.
+_MAX_CANDIDATES = 8
+
 # Odd 64-bit constants (splitmix64 / xxhash family) for the per-column
 # and final mixes of the row hash.
 _ROW_MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -281,12 +284,9 @@ class RepairTier:
     name = "repair"
     needs_context = True
 
-    def __init__(
-        self, store: ResultStore, *, max_candidates: int = 8
-    ) -> None:
+    def __init__(self, store: ResultStore) -> None:
         self.store = store
         self.index = ResultStore(Path(store.root) / _SIMIDX_DIR)
-        self.max_candidates = int(max_candidates)
         self._lock = threading.RLock()
         self._records: Dict[str, dict] = {}
         self._full: Dict[tuple, List[str]] = {}
@@ -360,7 +360,7 @@ class RepairTier:
                 extend(self._full.get((ctx, n - 1, sig)))
             # removal: stored minus one row == query
             extend(self._loo.get((ctx, n + 1, total)))
-        return out[: self.max_candidates]
+        return out[:_MAX_CANDIDATES]
 
     # ------------------------------------------------------------------
     # CacheTier protocol

@@ -383,6 +383,9 @@ BINARY_FRAMING_MUTATIONS = (
     "bad-length",
 )
 
+#: Largest ``solve_many`` batch the planner draws (sizes 2..this).
+_BATCH_MAX = 5
+
 
 class TrafficModel:
     """A seeded corpus plus a deterministic request planner."""
@@ -395,7 +398,6 @@ class TrafficModel:
         adversarial_tail: int = 4,
         zipf: float = 1.2,
         solve_many_fraction: float = 0.15,
-        batch_max: int = 5,
         deadline: Optional[float] = None,
         deadline_fraction: float = 0.0,
         fuzz: bool = False,
@@ -412,7 +414,6 @@ class TrafficModel:
         self.seed = seed
         self.zipf = zipf
         self.solve_many_fraction = solve_many_fraction
-        self.batch_max = batch_max
         self.deadline = deadline
         self.deadline_fraction = deadline_fraction
         self.fuzz = fuzz
@@ -512,7 +513,7 @@ class TrafficModel:
             # Zipf-weighted members, repeats allowed: in-batch
             # fingerprint dedup is server behaviour worth exercising.
             sub = self._weights[group] / self._weights[group].sum()
-            size = int(rng.integers(2, self.batch_max + 1))
+            size = int(rng.integers(2, _BATCH_MAX + 1))
             members = [
                 int(rng.choice(group, p=sub)) for _ in range(size)
             ]

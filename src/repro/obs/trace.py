@@ -54,6 +54,7 @@ __all__ = [
     "span_tree",
     "render_tree",
     "clear_ring",
+    "sink_dir",
 ]
 
 TRACE_ENV_VAR = "REPRO_TRACE"
@@ -114,11 +115,16 @@ def clear_ring() -> None:
         _ring_ids.clear()
 
 
+def sink_dir() -> Optional[str]:
+    """The JSONL sink directory ``REPRO_TRACE_DIR`` names, if any."""
+    return os.environ.get(TRACE_DIR_ENV_VAR) or None
+
+
 def _sink(doc: Dict[str, Any]) -> None:
     """Append one span to the JSONL sink when ``REPRO_TRACE_DIR`` is
     set; failures are swallowed (telemetry never breaks a solve)."""
     global _sink_path, _sink_fh
-    root = os.environ.get(TRACE_DIR_ENV_VAR)
+    root = sink_dir()
     if not root:
         return
     try:

@@ -137,12 +137,14 @@ _DIGEST_BYTES = 16
 
 def resolve_wire(wire: Optional[str] = None) -> str:
     """Validate a wire mode; ``None`` reads ``REPRO_WIRE`` (default auto)."""
+    source = "wire"
     if wire is None:
         wire = os.environ.get("REPRO_WIRE") or "auto"
+        source = "environment variable REPRO_WIRE"
     wire = str(wire).strip().lower()
     if wire not in WIRE_MODES:
         raise ValueError(
-            f"wire must be one of {WIRE_MODES}, got {wire!r}"
+            f"{source} must be one of {WIRE_MODES}, got {wire!r}"
         )
     return wire
 

@@ -93,6 +93,9 @@ _REQUESTS = obs_metrics.counter(
 #: tier keys on the request without them.
 _ENVELOPE = ("id", "trace", "deadline")
 
+#: Entries the replay tier keeps (see ``SolveServer.response_cache``).
+_RESPONSE_CACHE_SIZE = 4096
+
 
 class _Connection:
     """One client connection: its negotiated state and its writer.
@@ -165,7 +168,6 @@ class SolveServer:
         workers: Optional[int] = None,
         max_concurrency: int = 16,
         deadline: Optional[float] = None,
-        response_cache_size: int = 4096,
         session=None,
         max_orphaned_batches: int = 8,
         inject_fault: Optional[str] = None,
@@ -247,7 +249,7 @@ class SolveServer:
         # pure functions of request content and never mutated; keys are
         # literal bytes, so a request that differs at all — even in
         # field order — simply misses and takes the full path.
-        self.response_cache = LRUCache(response_cache_size)
+        self.response_cache = LRUCache(_RESPONSE_CACHE_SIZE)
         # Keys whose install is currently in flight.  Coalesced waiters
         # all resume at once when a shared solve lands; the first to
         # reach the install step claims the key here (atomic between

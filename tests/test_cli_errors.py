@@ -126,6 +126,15 @@ class TestUnusableStoreDir:
 
 
 class TestServeErrors:
+    def test_junk_repro_wire_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WIRE", "frames")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--no-store", "--port", "0"])
+        message = exit_message(excinfo)
+        assert "REPRO_WIRE" in message
+        assert "frames" in message
+        assert excinfo.value.code not in (0, None)
+
     def test_occupied_port_exits_with_hint(self, capsys):
         blocker = socket.socket()
         try:

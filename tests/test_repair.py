@@ -493,6 +493,20 @@ class TestCountersAndHelpers:
         with pytest.raises(ValueError, match="REPRO_REPAIR"):
             EngineConfig.from_env()
 
+    def test_bare_server_reads_repair_from_env(self, tmp_path, monkeypatch):
+        """A ``SolveServer`` built without a session takes its engine
+        settings from ``EngineConfig.from_env`` — the CLI's reader."""
+        from repro.service.server import SolveServer
+
+        monkeypatch.setenv(REPAIR_ENV_VAR, "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        server = SolveServer(port=0)
+        try:
+            stats = server.session.cache_stats()
+            assert set(stats["repair"]) == COUNTER_SCHEMA
+        finally:
+            server.session.close()
+
     @pytest.mark.parametrize(
         "raw,expected",
         [("1", True), ("TRUE", True), ("Yes", True), ("on", True),

@@ -183,8 +183,6 @@ class TestRingPartitioner:
             RingPartitioner([])
         with pytest.raises(ValueError, match="> 0"):
             RingPartitioner([1.0, 0.0])
-        with pytest.raises(ValueError, match="replicas_per_unit"):
-            RingPartitioner([1.0], replicas_per_unit=0)
 
     def test_both_satisfy_the_partitioner_protocol(self):
         assert isinstance(ModuloPartitioner(2), Partitioner)
@@ -300,149 +298,6 @@ class TestFleetHealth:
     def test_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
             FleetHealth(0)
-
-
-class TestBackgroundProber:
-    """The opt-in half-open prober, driven by a fake clock — no
-    thread, no sleeping: ``probe_once`` is the loop body."""
-
-    def _fleet(self, now, answers):
-        probed = []
-
-        def prober(shard: int) -> bool:
-            probed.append(shard)
-            answer = answers[shard]
-            if isinstance(answer, BaseException):
-                raise answer
-            return answer
-
-        fleet = FleetHealth(
-            3,
-            eject_after=2,
-            probe_backoff=5.0,
-            clock=lambda: now[0],
-            prober=prober,
-        )
-        return fleet, probed
-
-    def _eject(self, fleet, shard):
-        fleet.record_failure(shard, ConnectionError("down"))
-        fleet.record_failure(shard, ConnectionError("down"))
-
-    def test_probe_heals_ejected_shard_after_backoff(self):
-        now = [0.0]
-        answers = {0: True, 1: True, 2: True}
-        fleet, probed = self._fleet(now, answers)
-        self._eject(fleet, 1)
-        assert fleet.available_shards() == [0, 2]
-        # Inside the backoff window nothing is due.
-        assert fleet.probe_once() == []
-        assert probed == []
-        # Backoff expired: the prober pings shard 1, success heals it
-        # fully (not just half-open) before any real request routes.
-        now[0] = 5.0
-        assert fleet.probe_once() == [1]
-        assert probed == [1]
-        assert fleet.summary()[HEALTHY] == 3
-        assert fleet.probes == 1 and fleet.probe_heals == 1
-
-    def test_failed_probe_reejects_with_doubled_backoff(self):
-        now = [0.0]
-        answers = {0: True, 1: ConnectionError("still down"), 2: True}
-        fleet, probed = self._fleet(now, answers)
-        self._eject(fleet, 1)
-        now[0] = 5.0
-        assert fleet.probe_once() == [1]
-        # Re-ejected; the next window is doubled (10s), so the shard
-        # is not due at +5s but is at +10s.
-        assert fleet.available_shards() == [0, 2]
-        now[0] = 9.9
-        assert fleet.probe_once() == []
-        now[0] = 15.0
-        assert fleet.probe_once() == [1]
-        assert probed == [1, 1]
-        assert fleet.probe_heals == 0
-        assert "still down" in fleet.circuit(1).last_error
-
-    def test_healthy_fleet_probes_nothing(self):
-        now = [0.0]
-        fleet, probed = self._fleet(now, {0: True, 1: True, 2: True})
-        now[0] = 100.0
-        assert fleet.probe_once() == []
-        assert probed == []
-
-    def test_probe_interval_requires_prober(self):
-        with pytest.raises(ValueError, match="prober"):
-            FleetHealth(2, probe_interval=0.1)
-        with pytest.raises(ValueError, match="> 0"):
-            FleetHealth(2, probe_interval=0.0, prober=lambda s: True)
-
-    def test_background_thread_heals_without_traffic(self):
-        import time as _time
-
-        healed = threading.Event()
-
-        def prober(shard: int) -> bool:
-            healed.set()
-            return True
-
-        fleet = FleetHealth(
-            2,
-            eject_after=1,
-            probe_backoff=0.01,
-            prober=prober,
-            probe_interval=0.02,
-        )
-        try:
-            fleet.record_failure(0, ConnectionError("down"))
-            assert healed.wait(5.0)
-            deadline = _time.monotonic() + 5.0
-            while _time.monotonic() < deadline:
-                if fleet.summary()[HEALTHY] == 2:
-                    break
-                _time.sleep(0.01)
-            assert fleet.summary()[HEALTHY] == 2
-        finally:
-            fleet.close()
-
-    def test_close_is_idempotent_and_stops_the_thread(self):
-        fleet = FleetHealth(
-            1,
-            prober=lambda s: True,
-            probe_interval=0.01,
-        )
-        fleet.close()
-        fleet.close()
-        assert fleet._probe_thread is None
-
-    def test_sharded_executor_wires_a_ping_prober(self):
-        class PingableShard:
-            def __init__(self):
-                self.pings = 0
-
-            def ping(self):
-                self.pings += 1
-                return True
-
-            def close(self):
-                pass
-
-        shard = PingableShard()
-        ex = ShardedExecutor(
-            [shard, PingableShard()], probe_interval=30.0
-        )
-        try:
-            # Eject shard 0, expire its backoff, then drive the probe
-            # synchronously — the executor's callback pings the client.
-            ex.health.record_failure(0, ConnectionError("x"))
-            ex.health.record_failure(0, ConnectionError("x"))
-            circuit = ex.health.circuit(0)
-            circuit._retry_at = None  # backoff expired, half-open
-            assert ex.health.probe_once() == [0]
-            assert shard.pings == 1
-            assert ex.health.summary()[HEALTHY] == 2
-        finally:
-            ex.health.close()
 
 
 # ----------------------------------------------------------------------
@@ -910,24 +765,6 @@ class TestShardSpecs:
         assert [str(s) for s in specs] == ["a:1", "local*2", "b:2*0.5"]
         with pytest.raises(ValueError, match="names no shards"):
             parse_shards(" , ")
-
-    def test_from_env_reads_repro_shards(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "10.0.0.1:8753,local*2")
-        config = EngineConfig.from_env()
-        assert [str(s) for s in config.shards] == [
-            "10.0.0.1:8753",
-            "local*2",
-        ]
-        monkeypatch.setenv("REPRO_SHARDS", "garbage")
-        with pytest.raises(ValueError, match="REPRO_SHARDS"):
-            EngineConfig.from_env()
-
-    def test_engine_config_normalizes_string_entries(self):
-        config = EngineConfig(shards=("local", "h:2*3"))
-        assert config.shards[1].weight == 3.0
-        with pytest.raises(ValueError, match="ShardSpec or str"):
-            EngineConfig(shards=(42,))
-
 
 # ----------------------------------------------------------------------
 # live fleets (real serve subprocesses)
