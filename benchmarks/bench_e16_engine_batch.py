@@ -23,10 +23,10 @@ import pytest
 
 from repro.analysis.stats import Table, geometric_mean
 from repro.api import Session
-from repro.engine.bench import batch_timing, bench_instance, kernel_speedups
 
 from .conftest import report_table
 from .history import record_bench
+from .timing import batch_timing, bench_instance, kernel_speedups
 
 KERNEL_N = 10_000
 # The acceptance floor is 5x on a quiet machine; shared CI runners are

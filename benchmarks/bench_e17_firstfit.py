@@ -8,8 +8,8 @@ sweep kernels.  Two claims are demonstrated and *asserted*:
    fits" scan beats the scalar per-machine ``try_add`` probing by
    >= 3x (locally; CI softens the floor via ``E17_MIN_KERNEL_SPEEDUP``
    the same way E16 does) — while building the *bit-identical*
-   machine/thread structure, which ``firstfit_speedups`` cross-checks
-   on every run before reporting a number;
+   machine/thread structure, which ``timing.firstfit_speedups``
+   cross-checks on every run before reporting a number;
 2. the demand-aware and ring-topology FirstFit variants ride the same
    engine and are reported (and structure-checked) alongside, at
    smaller sizes because their scalar reference loops are costlier per
@@ -28,12 +28,11 @@ import os
 import pytest
 
 from repro.analysis.stats import Table
-from repro.engine.bench import firstfit_speedups
-from repro.engine.dispatch import first_fit_backend
 from repro.minbusy.firstfit import FIRSTFIT_VECTORIZE_MIN_SIZE
 
 from .conftest import report_table
 from .history import record_bench
+from .timing import firstfit_speedups
 
 FIRSTFIT_N = 10_000
 SATELLITE_N = 2_000
@@ -107,9 +106,10 @@ def test_e17_auto_dispatch_routes_by_size(benchmark):
     )
 
     def probe():
-        below = first_fit_backend(FIRSTFIT_VECTORIZE_MIN_SIZE - 1)
-        at = first_fit_backend(FIRSTFIT_VECTORIZE_MIN_SIZE)
-        above = first_fit_backend(FIRSTFIT_N)
+        thr = FIRSTFIT_VECTORIZE_MIN_SIZE
+        below = resolve_backend("auto", thr - 1, thr)
+        at = resolve_backend("auto", thr, thr)
+        above = resolve_backend("auto", FIRSTFIT_N, thr)
         return below, at, above
 
     below, at, above = benchmark.pedantic(probe, rounds=1, iterations=1)

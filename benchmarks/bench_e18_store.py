@@ -32,10 +32,10 @@ import pytest
 
 from repro.analysis.stats import Table
 from repro.api import Session
-from repro.engine.bench import bench_instance
 
 from .conftest import report_table
 from .history import record_bench
+from .timing import bench_instance
 
 N_INSTANCES = 300
 N_JOBS = 60

@@ -26,9 +26,6 @@ re-run would measure):
 * ``e17_firstfit``: each FirstFit variant's speedup,
 * ``e18_store``: the warm-store speedup,
 * ``e19_service``: the concurrent-vs-sequential service speedup,
-* ``e20_loadgen``: the loadgen run — requests/sec, bytes/sec,
-  validated fraction, inverted p99 latency (``1/p99_seconds``, so a
-  latency *increase* reads as a drop) and per-tier cache hit rates,
 * ``e21_wire``: binary wire serving — NDJSON-equivalent bytes/sec,
   inverted binary p99 and the binary-vs-NDJSON wall speedup,
 * ``e22_repair``: the near-miss repair tier — repair-vs-cold-solve
@@ -38,18 +35,19 @@ re-run would measure):
   reads as a drop.
 
 Only ratios and rates are compared — absolute wall times shift with
-runner hardware, but scalar-vs-vectorized (and cold-vs-warm) ratios,
-hit rates and validated fractions are self-normalizing, which is what
-makes cross-run comparison meaningful on shared runners at all.
-(``e20.rps``/``e20.bytes_per_sec`` are the exception: they are
-absolute, so the CI threshold gives them headroom.)
+runner hardware, but scalar-vs-vectorized (and cold-vs-warm) ratios
+and hit rates are self-normalizing, which is what makes cross-run
+comparison meaningful on shared runners at all.
+(``e21.bytes_per_sec`` and ``e21.p99_inv`` are the exception: they
+are absolute, so the CI threshold gives them headroom.)
 
 History entries additionally carry a ``host`` block (platform, python
-version, cpu count).  When an experiment's two latest entries come
-from *different* machines, even the self-normalizing ratios shift (a
-different core count changes what "concurrent speedup" means), so the
-diff skips that experiment's metrics with a note instead of flagging
-phantom regressions; entries predating the block compare as before.
+version, cpu count), stamped by ``benchmarks/history.py``.  When an
+experiment's two latest entries come from *different* machines, even
+the self-normalizing ratios shift (a different core count changes what
+"concurrent speedup" means), so the diff skips that experiment's
+metrics with a note instead of flagging phantom regressions; entries
+predating the block compare as before.
 """
 
 from __future__ import annotations
@@ -102,21 +100,6 @@ def extract_metrics(entries: List[dict]) -> Dict[str, float]:
     e19 = latest.get("e19_service")
     if e19 and isinstance(e19.get("service_speedup"), (int, float)):
         metrics["e19.service_speedup"] = float(e19["service_speedup"])
-    e20 = latest.get("e20_loadgen")
-    if e20:
-        for key in (
-            "rps",
-            "bytes_per_sec",
-            "validated_fraction",
-            "p99_inv",
-        ):
-            if isinstance(e20.get(key), (int, float)):
-                metrics[f"e20.{key}"] = float(e20[key])
-        hit_rates = e20.get("hit_rates")
-        if isinstance(hit_rates, dict):
-            for tier, rate in hit_rates.items():
-                if isinstance(rate, (int, float)):
-                    metrics[f"e20.hit.{tier}"] = float(rate)
     e21 = latest.get("e21_wire")
     if e21:
         for key in ("bytes_per_sec", "p99_inv", "wire_speedup"):

@@ -4,34 +4,85 @@ The E16/E17 floors catch *step* regressions (a vectorized path falling
 back to scalar speed); slow drift hides inside the slack between the
 measured number and the floor.  To make drift visible, benches append
 their measured numbers here and CI uploads the file as an artifact —
-comparing artifacts across runs shows the trend (the ROADMAP's "track
-``repro bench`` numbers over time" item).
+``benchmarks/drift.py`` compares artifacts across runs.
 
 Recording is opt-in: entries are written only when the
 ``BENCH_HISTORY_PATH`` environment variable names a destination (CI
 sets it; plain local runs leave no files behind).  The file is a JSON
-list of ``{"experiment", "recorded_at", ...payload}`` objects; each
-run appends, so pointing the variable at a persistent path accumulates
-a local history too.
+list of ``{"experiment", "recorded_at", "host", ...payload}`` objects;
+each run appends, so pointing the variable at a persistent path
+accumulates a local history too.
 
-The history now has two writer populations — the bench suite and
-``repro loadgen`` — which can run concurrently in CI, so the append
-is the *locked* shared path in :mod:`repro.loadgen.report`: an
-``fcntl`` exclusive lock brackets the read-modify-write and the file
-is published with an atomic rename.  The historical implementation
-here (bare read → append → ``write_text``) silently dropped entries
-whenever two writers raced.
+This module is the file's one writer.  Bench processes may still race
+(``pytest-xdist``, two suites pointed at one path), so
+:func:`append_history` holds an ``fcntl`` exclusive lock (the
+:mod:`repro.engine.store` lock) across the read-modify-write and
+publishes with an atomic rename: two racing writers produce two
+entries, never one, and a reader never sees a half-written file.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import platform
+import time
 from pathlib import Path
-from typing import Optional
+from typing import Any, Dict, List, Optional
 
-__all__ = ["HISTORY_ENV_VAR", "record_bench"]
+from repro.engine.store import _FileLock
+
+__all__ = ["HISTORY_ENV_VAR", "append_history", "host_info", "record_bench"]
 
 HISTORY_ENV_VAR = "BENCH_HISTORY_PATH"
+
+
+def host_info() -> Dict[str, Any]:
+    """The machine identity stamped on every history entry.
+
+    Timings from different machines are not comparable — a laptop
+    entry next to a CI-runner entry reads as a regression.  Drift
+    tracking uses this block to skip cross-machine pairs instead of
+    flagging them.
+    """
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "cpus": os.cpu_count() or 0,
+    }
+
+
+def append_history(
+    path: Path, experiment: str, payload: Dict[str, Any]
+) -> Path:
+    """Append one ``{"experiment", "recorded_at", "host", **payload}``
+    entry under an exclusive lock on ``<path>.lock``, published with an
+    atomic rename."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _FileLock(path.with_suffix(path.suffix + ".lock")):
+        entries: List[dict] = []
+        if path.exists():
+            try:
+                entries = json.loads(path.read_text())
+            except (ValueError, OSError):
+                entries = []
+            if not isinstance(entries, list):
+                entries = []
+        entries.append(
+            {
+                "experiment": experiment,
+                "recorded_at": time.strftime(
+                    "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
+                ),
+                "host": host_info(),
+                **payload,
+            }
+        )
+        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
+        tmp.write_text(json.dumps(entries, indent=2) + "\n")
+        os.replace(tmp, path)
+    return path
 
 
 def record_bench(experiment: str, payload: dict) -> Optional[Path]:
@@ -40,6 +91,4 @@ def record_bench(experiment: str, payload: dict) -> Optional[Path]:
     dest = os.environ.get(HISTORY_ENV_VAR)
     if not dest:
         return None
-    from repro.loadgen.report import append_history
-
     return append_history(Path(dest), experiment, payload)

@@ -1,8 +1,8 @@
 """Micro-benchmark helpers: kernel speedups and batch throughput.
 
-Used by ``repro bench`` (CLI) and by
-``benchmarks/bench_e16_engine_batch.py`` /
-``benchmarks/bench_e17_firstfit.py``.  Each kernel row times the
+Used by ``benchmarks/bench_e16_engine_batch.py``,
+``benchmarks/bench_e17_firstfit.py`` and
+``benchmarks/bench_e18_store.py``.  Each kernel row times the
 scalar reference implementation against the vectorized NumPy kernel on
 the *same* input and records the best-of-``repeats`` wall times; the
 two paths are also cross-checked for equality on every run, so a
@@ -21,16 +21,16 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..core.intervals import union_length, union_length_arrays
-from ..core.jobs import pairwise_overlaps_scalar
-from ..core.machines import max_concurrency_scalar
-from ..core.vectorized import (
+from repro.core.intervals import union_length, union_length_arrays
+from repro.core.jobs import pairwise_overlaps_scalar
+from repro.core.machines import max_concurrency_scalar
+from repro.core.vectorized import (
     grouped_union_lengths,
     job_arrays,
     pairwise_overlap_arrays,
     peak_depth_arrays,
 )
-from ..workloads import random_general_instance
+from repro.workloads import random_general_instance
 
 __all__ = [
     "KernelTiming",
@@ -211,11 +211,11 @@ def firstfit_speedups(
     *structural* equality — identical machines, threads and placement
     order — before any number is reported.
     """
-    from ..capacity.firstfit import demand_first_fit
-    from ..minbusy.firstfit import first_fit_machines
-    from ..topology.ring import RingJob
-    from ..topology.ring_firstfit import ring_first_fit
-    from ..workloads import random_demand_instance
+    from repro.capacity.firstfit import demand_first_fit
+    from repro.minbusy.firstfit import first_fit_machines
+    from repro.topology.ring import RingJob
+    from repro.topology.ring_firstfit import ring_first_fit
+    from repro.workloads import random_demand_instance
 
     rows: List[KernelTiming] = []
 
@@ -308,7 +308,7 @@ def batch_timing(
 ) -> BatchTiming:
     """Time a cold ``solve_many`` batch and the fully-cached re-run on
     a fresh store-less session."""
-    from ..api import Session
+    from repro.api import Session
 
     instances = [
         bench_instance(n_jobs, seed=seed + i) for i in range(n_instances)

@@ -5,7 +5,6 @@ needed) plus the ``repro`` console entry point::
 
     repro solve instance.json
     repro solve a.json b.json --batch --workers 4
-    repro bench --n 10000
 """
 
 from setuptools import find_packages, setup

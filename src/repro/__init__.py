@@ -52,7 +52,6 @@ are interchangeable, see :mod:`repro.api`)::
 Batch CLI (``pip install -e .`` provides the ``repro`` entry point)::
 
     repro solve a.json b.json c.json --batch --workers 4 --json
-    repro bench --n 10000          # scalar-vs-vectorized kernel table
 """
 
 from .core import (

@@ -263,26 +263,14 @@ class RemoteSession:
             cache=use_cache,
             deadline=self._deadline(deadline),
         )
-        # Connection hygiene, two layers: (a) the terminal ``done``
-        # line is consumed *before* the last result is handed out, so
-        # a consumer that pulls exactly ``len(instances)`` items and
-        # never resumes this generator leaves nothing unread; (b) the
-        # ``finally`` drain covers a consumer that abandons the stream
-        # early (break / GC / close()) — the remaining response lines
-        # are read off before the generator finishes, otherwise the
-        # next request on this connection would read a stale line as
-        # its response.  The drain blocks until the server finishes
-        # the batch; that is the price of keeping the one connection
-        # reusable.
+        # ``iter_solve_many`` keeps the connection clean (it reads
+        # ``done`` early and drains an abandoned batch on close); closing
+        # it here makes an abandoned stream drain now, not at GC.
         try:
-            for i, served in enumerate(stream):
-                if i == len(plans) - 1:
-                    for _ in stream:
-                        pass
-                yield result_from_doc(served, plans[i])
+            for plan, served in zip(plans, stream):
+                yield result_from_doc(served, plan)
         finally:
-            for _ in stream:
-                pass
+            stream.close()
 
     def cache_stats(self) -> Dict[str, Any]:
         """The server session's per-tier counters (plus its wire tier)."""

@@ -12,7 +12,6 @@ Usage (after ``pip install -e .``)::
     repro throughput jobs.json --budget 42
     repro classify jobs.json                        # instance structure
     repro generate clique --n 50 --g 3 -o inst.json
-    repro bench --n 10000                           # kernel + batch bench
     repro cache stats --json                        # persistent store
     repro serve --port 8753 --max-concurrency 32    # NDJSON solve service
     repro loadgen --port 8753 --requests 500        # validated load test
@@ -38,9 +37,6 @@ caching.  With a persistent store attached (``--store DIR``, or the
 results across processes: the second ``repro solve`` of the same
 instance is served from disk, observable in the ``repro cache stats``
 hit counters.
-``repro bench`` prints the scalar-vs-vectorized kernel speedups, the
-FirstFit placement-loop speedups (scalar probing vs the occupancy
-engine), and cold/cached batch timings.
 
 Running a sharded fleet
 -----------------------
@@ -81,12 +77,11 @@ with the paper's adversarial constructions in the cold tail — at a
 live endpoint (or a ``--shard`` fleet, rotating away from dead
 members mid-run), validates **every** response against a local oracle
 session plus the registry verifier, and reports p50/p99 latency,
-throughput, per-tier cache hit rates and orphaned-batch counters
-(recorded to the drift-tracked bench history via ``--history`` or
-``$BENCH_HISTORY_PATH``).  With ``--fuzz`` it additionally mutates
-instances and request framing (oversized ids, near-zero deadlines,
-abandoned streams, dropped connections) hunting for divergence; any
-failure is delta-debugged down to a minimal reproducer file, and
+throughput, per-tier cache hit rates and orphaned-batch counters.
+With ``--fuzz`` it additionally mutates instances and request framing
+(oversized ids, near-zero deadlines, abandoned streams, dropped
+connections) hunting for divergence; any failure is delta-debugged
+down to a minimal reproducer file, and
 ``repro loadgen --replay FILE`` re-runs that exact request — exit 1
 while the bug lives, exit 0 once it is fixed.
 
@@ -131,7 +126,6 @@ from .io import (
     load_objective_instance,
     save_instance,
 )
-from .minbusy import solve_min_busy
 from .obs.expo import sum_stats as _sum_stats
 
 __all__ = ["main"]
@@ -1027,7 +1021,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             reproducer_dir=(
                 Path(args.reproducer_dir) if args.reproducer_dir else None
             ),
-            history_path=Path(args.history) if args.history else None,
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
@@ -1104,30 +1097,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
     for path in report["reproducers"]:
         print(f"reproducer : {path}  (re-run: repro loadgen --replay {path})")
-    if "history" in report:
-        print(f"history    : recorded to {report['history']}")
     return 0 if clean else 1
 
 
-def _pick_throughput_solver(inst: BudgetInstance):
-    """Mirror the paper's case analysis for MaxThroughput.
-
-    Kept for backwards compatibility; the case table now lives in
-    :func:`repro.engine.dispatch.pick_throughput_solver`.
-    """
+def _cmd_throughput(args: argparse.Namespace) -> int:
     from .engine.dispatch import pick_throughput_solver
 
-    name, solver, _guarantee = pick_throughput_solver(inst)
-    return name, solver
-
-
-def _cmd_throughput(args: argparse.Namespace) -> int:
     inst = _load(args.instance, args.g, args.budget)
     if not isinstance(inst, BudgetInstance):
         raise SystemExit(
             "throughput needs a budget (--budget or a 'budget' key in JSON)"
         )
-    name, solver = _pick_throughput_solver(inst)
+    name, solver, _guarantee = pick_throughput_solver(inst)
     sched = solver(inst)
     tput, cost = verify_budget_schedule(inst, sched)
     if args.json:
@@ -1197,106 +1178,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     inst = gens[args.kind](args.n, args.g, seed=args.seed)
     save_instance(inst, args.output)
     print(f"wrote {inst} to {args.output}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Engine micro-benchmarks: kernels + FirstFit loops + batch."""
-    from .analysis.stats import Table
-    from .engine.bench import batch_timing, firstfit_speedups, kernel_speedups
-    from .engine.dispatch import first_fit_backend
-
-    def auto_backend(row):
-        return first_fit_backend(row.n, row.kernel)
-
-    kernels = kernel_speedups(args.n, seed=args.seed, repeats=args.repeats)
-    ff_n = args.firstfit_n if args.firstfit_n is not None else min(args.n, 4000)
-    sat_n = max(64, min(ff_n, 2000))
-    firstfit = firstfit_speedups(
-        ff_n,
-        seed=args.seed,
-        repeats=args.repeats,
-        demand_n=sat_n,
-        ring_n=sat_n,
-    )
-    batch = batch_timing(
-        args.batch_size,
-        args.batch_jobs,
-        workers=args.workers,
-        seed=args.seed,
-    )
-    if args.json:
-        doc = {
-            "kernels": [
-                {
-                    "kernel": k.kernel,
-                    "n": k.n,
-                    "scalar_seconds": k.scalar_seconds,
-                    "vectorized_seconds": k.vectorized_seconds,
-                    "speedup": k.speedup,
-                }
-                for k in kernels
-            ],
-            "firstfit": [
-                {
-                    "variant": k.kernel,
-                    "n": k.n,
-                    "auto_backend": auto_backend(k),
-                    "scalar_seconds": k.scalar_seconds,
-                    "vectorized_seconds": k.vectorized_seconds,
-                    "speedup": k.speedup,
-                }
-                for k in firstfit
-            ],
-            "batch": {
-                "n_instances": batch.n_instances,
-                "n_jobs": batch.n_jobs,
-                "cold_seconds": batch.cold_seconds,
-                "cached_seconds": batch.cached_seconds,
-                "cache_speedup": batch.cache_speedup,
-            },
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    kt = Table(
-        f"engine kernels at n={args.n}: scalar vs vectorized",
-        ["kernel", "scalar_ms", "vectorized_ms", "speedup"],
-    )
-    for k in kernels:
-        kt.add(
-            k.kernel,
-            k.scalar_seconds * 1e3,
-            k.vectorized_seconds * 1e3,
-            f"{k.speedup:.1f}x",
-        )
-    kt.print()
-    ft = Table(
-        "FirstFit placement: scalar probing vs occupancy engine",
-        ["variant", "n", "auto", "scalar_ms", "vectorized_ms", "speedup"],
-    )
-    for k in firstfit:
-        ft.add(
-            k.kernel,
-            k.n,
-            auto_backend(k),
-            k.scalar_seconds * 1e3,
-            k.vectorized_seconds * 1e3,
-            f"{k.speedup:.1f}x",
-        )
-    ft.print()
-    bt = Table(
-        f"engine batch: {batch.n_instances} instances x "
-        f"{batch.n_jobs} jobs (workers={args.workers or 1})",
-        ["phase", "seconds", "instances_per_s"],
-    )
-    bt.add("cold", batch.cold_seconds, batch.n_instances / batch.cold_seconds)
-    bt.add(
-        "cached",
-        batch.cached_seconds,
-        batch.n_instances / max(batch.cached_seconds, 1e-12),
-    )
-    bt.add("cache_speedup", f"{batch.cache_speedup:.1f}x", "")
-    bt.print()
     return 0
 
 
@@ -1675,13 +1556,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record failures without shrinking them to reproducers",
     )
     lg.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="append the run's metrics to this bench-history file "
-        "(default: $BENCH_HISTORY_PATH when set; neither = no record)",
-    )
-    lg.add_argument(
         "--replay",
         default=None,
         metavar="FILE",
@@ -1715,30 +1589,6 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("-o", "--output", default="instance.json")
     gp.set_defaults(func=_cmd_generate)
 
-    bp = sub.add_parser(
-        "bench", help="engine micro-benchmarks (kernels + batch)"
-    )
-    bp.add_argument(
-        "--n", type=int, default=10_000, help="jobs per kernel input"
-    )
-    bp.add_argument(
-        "--batch-size", type=int, default=200, help="instances in the batch"
-    )
-    bp.add_argument(
-        "--firstfit-n",
-        type=int,
-        default=None,
-        help="jobs for the FirstFit loop rows (default: min(--n, 4000); "
-        "the scalar reference side is O(n^2)-ish, hence the cap)",
-    )
-    bp.add_argument(
-        "--batch-jobs", type=int, default=40, help="jobs per batch instance"
-    )
-    bp.add_argument("--workers", type=int, default=None)
-    bp.add_argument("--repeats", type=int, default=3)
-    bp.add_argument("--seed", type=int, default=0)
-    bp.add_argument("--json", action="store_true")
-    bp.set_defaults(func=_cmd_bench)
     return p
 
 

@@ -37,11 +37,10 @@ cache and executor state; this package holds no module-global state):
 * **Vectorized hot paths** — below the dispatchers, large instances
   run the sweep kernels of :mod:`repro.core.vectorized` and the
   FirstFit family runs the event-indexed occupancy engine of
-  :mod:`repro.core.occupancy` (see
-  :func:`~repro.engine.dispatch.first_fit_backend`); both are
-  bit-exact against their scalar oracles, so the engine's results are
-  independent of instance size.  ``repro bench`` and E16/E17 track the
-  speedups; E18 tracks the store tier, E19 the serving layer.
+  :mod:`repro.core.occupancy`; both are bit-exact against their scalar
+  oracles, so the engine's results are independent of instance size.
+  The E16/E17 benchmarks track the speedups; E18 tracks the store
+  tier, E19 the serving layer.
 
 Quickstart (through a :class:`~repro.api.Session`)::
 
@@ -80,15 +79,8 @@ Registering a new objective
    engine changes needed.
 """
 
-from .bench import (
-    BatchTiming,
-    KernelTiming,
-    batch_timing,
-    firstfit_speedups,
-    kernel_speedups,
-)
 from .cache import DEFAULT_CACHE_SIZE, CacheInfo, LRUCache
-from .dispatch import first_fit_backend, pick_throughput_solver
+from .dispatch import pick_throughput_solver
 from .engine import (
     MAXTHROUGHPUT,
     MINBUSY,
@@ -121,15 +113,9 @@ from .store import STORE_VERSION, ResultStore, StoreStats, default_store_dir
 from .tiers import CacheTier, LRUTier, StoreTier, TieredCache
 
 __all__ = [
-    "BatchTiming",
-    "KernelTiming",
-    "batch_timing",
-    "firstfit_speedups",
-    "kernel_speedups",
     "DEFAULT_CACHE_SIZE",
     "CacheInfo",
     "LRUCache",
-    "first_fit_backend",
     "pick_throughput_solver",
     "MAXTHROUGHPUT",
     "MINBUSY",

@@ -18,9 +18,9 @@ Below the case analysis sits a second, size-based dispatch: the
 FirstFit family (the general-case MinBusy fallback and the E2/E3/E15
 comparator) switches its placement inner loop from the scalar
 ``try_add`` probing to the event-indexed occupancy engine
-(:mod:`repro.core.occupancy`) at ``FIRSTFIT_VECTORIZE_MIN_SIZE`` jobs.
-:func:`first_fit_backend` reports that decision for a given size; the
-``repro bench`` FirstFit table and E17 use it to label their rows.
+(:mod:`repro.core.occupancy`) at ``FIRSTFIT_VECTORIZE_MIN_SIZE`` jobs;
+each FirstFit entry point makes that decision itself with
+``backend="auto"``.
 """
 
 from __future__ import annotations
@@ -28,24 +28,9 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from ..core.instance import BudgetInstance
-from ..core.occupancy import firstfit_min_size, resolve_backend
 from ..core.schedule import Schedule
 
-__all__ = ["pick_throughput_solver", "first_fit_backend"]
-
-
-def first_fit_backend(n: int, variant: str = "1d") -> str:
-    """Which FirstFit inner loop serves an ``n``-job instance.
-
-    Returns ``"vectorized"`` (occupancy engine) or ``"scalar"`` — the
-    thresholded decision the variant's entry point makes with
-    ``backend="auto"``.  ``variant`` is ``"1d"`` (default), ``"rect"``,
-    ``"demand"`` or ``"ring"``; the demand and ring variants switch
-    later because their scalar probes are cheap relative to their
-    vectorized fit tests (see the calibrated minimum sizes in
-    :mod:`repro.core.occupancy`).
-    """
-    return resolve_backend("auto", n, firstfit_min_size(variant))
+__all__ = ["pick_throughput_solver"]
 
 ThroughputSolver = Callable[[BudgetInstance], Schedule]
 

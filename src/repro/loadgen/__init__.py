@@ -4,11 +4,10 @@ The loadgen subsystem drives mixed-family traffic — Zipf-skewed
 generator samples with the paper's adversarial constructions in the
 tail — against a live ``repro serve`` endpoint (or a sharded fleet),
 validates **every** response against a local oracle session plus the
-registry verifier, and records latency/throughput/hit-rate metrics
-into the drift-tracked bench history.  In fuzz mode it mutates
-instances and request framing hunting for divergence, and shrinks any
-failure into a minimal reproducer file that ``repro loadgen --replay``
-re-runs deterministically.
+registry verifier, and reports latency/throughput/hit-rate metrics.
+In fuzz mode it mutates instances and request framing hunting for
+divergence, and shrinks any failure into a minimal reproducer file
+that ``repro loadgen --replay`` re-runs deterministically.
 
 Layering::
 
@@ -16,7 +15,7 @@ Layering::
     driver.py     how it is sent (asyncio fan-out, retry, replay)
     validate.py   was it right   (oracle session + registry verifier)
     minimize.py   why it failed  (ddmin shrink, reproducer files)
-    report.py     what happened  (percentiles, locked history append)
+    report.py     what happened  (latency percentiles)
 """
 
 from .driver import LoadgenOptions, replay_reproducer, run_loadgen
@@ -27,15 +26,7 @@ from .minimize import (
     reproducer_record,
     write_reproducer,
 )
-from .report import (
-    HISTORY_ENV_VAR,
-    LOADGEN_EXPERIMENT,
-    append_history,
-    history_payload,
-    latency_summary,
-    maybe_record,
-    percentile,
-)
+from .report import latency_summary, percentile
 from .traffic import (
     ALL_FAMILIES,
     MUTATIONS,
@@ -52,8 +43,6 @@ from .validate import OracleValidator, Outcome, canonical_result
 __all__ = [
     "ALL_FAMILIES",
     "CorpusEntry",
-    "HISTORY_ENV_VAR",
-    "LOADGEN_EXPERIMENT",
     "LoadgenOptions",
     "MUTATIONS",
     "OracleValidator",
@@ -61,15 +50,12 @@ __all__ = [
     "PlannedRequest",
     "TrafficModel",
     "adversarial_documents",
-    "append_history",
     "canonical_result",
     "ddmin",
     "family_document",
-    "history_payload",
     "items_key",
     "latency_summary",
     "load_reproducer",
-    "maybe_record",
     "minimize_instance",
     "mutate_document",
     "percentile",

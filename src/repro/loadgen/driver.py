@@ -20,8 +20,8 @@ A run has four phases:
    :func:`~repro.loadgen.minimize.minimize_instance` against the live
    fleet and are written as reproducer files;
 4. **report** — percentiles, bytes/sec, per-tier hit-rate deltas
-   (cache_stats snapshots bracket the traffic phase), orphaned-batch
-   counters, and the optional ``e20_loadgen`` history entry.
+   (cache_stats snapshots bracket the traffic phase) and
+   orphaned-batch counters.
 
 :func:`replay_reproducer` is the other direction: load a reproducer
 file, re-send its exact request, re-judge the response — the command
@@ -55,7 +55,7 @@ from .minimize import (
     reproducer_record,
     write_reproducer,
 )
-from .report import latency_summary, maybe_record
+from .report import latency_summary
 from .traffic import PlannedRequest, TrafficModel
 from .validate import OracleValidator, Outcome
 
@@ -85,7 +85,6 @@ class LoadgenOptions:
     minimize: bool = True
     max_minimize: int = 3
     reproducer_dir: Optional[Path] = None
-    history_path: Optional[Path] = None
     #: Transport the workers negotiate per connection: ``"binary"``
     #: requires the upgrade (a declining target counts as unreachable
     #: and the worker rotates on), ``"ndjson"`` never negotiates,
@@ -770,9 +769,6 @@ def run_loadgen(
             "failures": failures[:20],
             "reproducers": reproducers,
         }
-        recorded = maybe_record(report, options.history_path)
-        if recorded is not None:
-            report["history"] = str(recorded)
         return report
     finally:
         if own_validator:

@@ -312,7 +312,17 @@ class ServiceClient:
         deadline: Optional[float] = None,
     ) -> Iterator[Dict[str, Any]]:
         """Stream result documents in input order as the server emits
-        them (the terminal ``done`` line is consumed internally)."""
+        them.
+
+        The connection is left clean however the stream ends.  The
+        terminal ``done`` line is read before the last result is handed
+        out, so a consumer that takes exactly ``len(instances)`` results
+        and never resumes leaves nothing unread.  A consumer that stops
+        early (``break``, ``close()``, garbage collection) has the rest
+        of the batch read off when the generator closes; that blocks
+        until the server finishes the batch.  Without either, the next
+        request on this connection would read a stale line as its
+        response."""
         doc: Dict[str, Any] = {
             "op": "solve_many",
             "objective": objective,
@@ -324,14 +334,38 @@ class ServiceClient:
         if deadline is not None:
             doc["deadline"] = deadline
         self._send(self._attach_trace(doc))
-        while True:
-            response = self._recv()
-            if not response.get("ok", False):
-                raise ServiceError(response.get("error", {}))
-            if response.get("done"):
-                self._ingest_trace(response)
-                return
-            yield response["result"]
+        left = len(doc["instances"])
+        pending = True  # the batch's terminal line is still unread
+        try:
+            while pending:
+                response = self._recv()
+                if not response.get("ok", False):
+                    pending = False
+                    raise ServiceError(response.get("error", {}))
+                if response.get("done"):
+                    pending = False
+                    self._ingest_trace(response)
+                    return
+                left -= 1
+                if left == 0:
+                    # ``done`` is read before the last result goes out.
+                    tail = self._recv()
+                    pending = False
+                    if not tail.get("ok", False):
+                        raise ServiceError(tail.get("error", {}))
+                    self._ingest_trace(tail)
+                yield response["result"]
+        finally:
+            # Abandoned early: read off the rest of the batch.  A failed
+            # read marks the connection broken, so the next request
+            # replaces it.
+            try:
+                while pending and not self._broken:
+                    response = self._recv()
+                    if response.get("done") or not response.get("ok", False):
+                        pending = False
+            except (OSError, ValueError):
+                self._broken = True
 
     def solve_many(
         self,

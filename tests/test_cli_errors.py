@@ -4,9 +4,9 @@ Every failure mode a CI script or operator hits must exit non-zero
 with an actionable one-liner — never a traceback: unknown
 ``--objective``, malformed family JSON, an unusable ``REPRO_CACHE_DIR``
 (or ``--store``) directory, and ``repro serve`` on an occupied port.
-Alongside them, the machine-readable contracts: ``repro bench --json``
-and ``repro cache stats --json`` must emit parseable documents with
-stable keys so CI and the drift checker never scrape human tables.
+Alongside them, the machine-readable contracts: ``repro cache stats
+--json`` must emit a parseable document with stable keys so CI never
+scrapes human tables.
 """
 
 from __future__ import annotations
@@ -239,31 +239,6 @@ class TestEngineFlagParity:
 
 
 class TestMachineReadableOutput:
-    def test_bench_json_schema(self, capsys):
-        assert (
-            main(
-                [
-                    "bench",
-                    "--n", "256",
-                    "--firstfit-n", "128",
-                    "--batch-size", "4",
-                    "--batch-jobs", "8",
-                    "--repeats", "1",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"kernels", "firstfit", "batch"}
-        for row in doc["kernels"]:
-            assert {"kernel", "n", "speedup"} <= set(row)
-        for row in doc["firstfit"]:
-            assert {"variant", "n", "auto_backend", "speedup"} <= set(row)
-        assert {"n_instances", "cold_seconds", "cache_speedup"} <= set(
-            doc["batch"]
-        )
-
     def test_cache_stats_json_schema(self, tmp_path, capsys):
         assert (
             main(["cache", "stats", "--dir", str(tmp_path), "--json"]) == 0

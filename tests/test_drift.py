@@ -1,12 +1,15 @@
-"""Tests for the bench-drift detector (benchmarks/drift.py)."""
+"""Tests for the bench history writer and drift detector
+(benchmarks/history.py, benchmarks/drift.py)."""
 
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from benchmarks.drift import diff_metrics, extract_metrics, main
+from benchmarks.history import append_history, record_bench
 
 
 def _history(geomean, firstfit, cache=12.0, store=None):
@@ -142,3 +145,38 @@ class TestMain:
         )
         doc = json.loads(capsys.readouterr().out)
         assert doc["regressions"][0]["metric"] == "e17.firstfit_1d"
+
+
+class TestHistory:
+    def test_append_history_is_atomic_under_threads(self, tmp_path):
+        path = tmp_path / "H.json"
+        errors = []
+
+        def writer(i):
+            try:
+                for k in range(25):
+                    append_history(path, f"exp{i}", {"k": k})
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(i,)) for i in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        entries = json.loads(path.read_text())
+        assert len(entries) == 100  # no entry lost to a race
+
+    def test_record_bench_delegates_to_locked_append(
+        self, tmp_path, monkeypatch
+    ):
+        dest = tmp_path / "BENCH_HISTORY.json"
+        monkeypatch.setenv("BENCH_HISTORY_PATH", str(dest))
+        record_bench("e99_test", {"value": 1.0})
+        record_bench("e99_test", {"value": 2.0})
+        entries = json.loads(dest.read_text())
+        assert [e["value"] for e in entries] == [1.0, 2.0]
+        assert all("recorded_at" in e for e in entries)

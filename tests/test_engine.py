@@ -4,7 +4,7 @@ Covers: objective routing against the underlying dispatchers,
 fingerprint identity, LRU cache behavior (hit equivalence, counters),
 the positional (lazily built) schedules cache hits carry,
 ``solve_many`` determinism — sequential == batched ==
-multiprocess — and the CLI batch/bench surfaces.
+multiprocess — and the CLI batch surface.
 """
 
 from __future__ import annotations
@@ -462,27 +462,3 @@ class TestCliBatchAndBench:
         with pytest.raises(SystemExit) as exc:
             main(["solve", str(tmp_path / "nope.json"), a, "--batch"])
         assert "nope.json" in str(exc.value)
-
-    def test_bench_json_smoke(self, capsys):
-        assert (
-            main(
-                [
-                    "bench",
-                    "--n",
-                    "300",
-                    "--batch-size",
-                    "4",
-                    "--batch-jobs",
-                    "10",
-                    "--repeats",
-                    "1",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        doc = json.loads(capsys.readouterr().out)
-        kernels = {k["kernel"] for k in doc["kernels"]}
-        assert "pairwise_overlaps" in kernels and "union_length" in kernels
-        assert doc["batch"]["n_instances"] == 4
-        assert all(k["speedup"] > 0 for k in doc["kernels"])

@@ -7,7 +7,6 @@ CI ``loadgen-smoke`` job covers the subprocess/SIGKILL fleet variant.
 """
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from repro.loadgen import (
     run_loadgen,
     write_reproducer,
 )
-from repro.loadgen.report import append_history, history_payload, percentile
+from repro.loadgen.report import percentile
 from repro.loadgen.traffic import ALL_FAMILIES, MUTATIONS, items_key
 from repro.service.server import SolveServer
 
@@ -332,7 +331,7 @@ class TestMinimize:
 
 
 # ----------------------------------------------------------------------
-# report + history
+# report
 # ----------------------------------------------------------------------
 
 
@@ -343,20 +342,6 @@ class TestReport:
         assert percentile(values, 1.0) == 100.0
         assert 49.0 <= percentile(values, 0.5) <= 51.0
         assert percentile([], 0.5) == 0.0
-
-    def test_history_payload_inverts_latency(self):
-        report = {
-            "requests": 10,
-            "rps": 100.0,
-            "bytes_per_sec": 1e6,
-            "latency_ms": {"p50_ms": 1.0, "p99_ms": 4.0},
-            "validation": {"validated_fraction": 1.0},
-            "tiers": {"lru": {"hit_rate": 0.5}},
-            "orphaned_batches": {"live": 0},
-        }
-        payload = history_payload(report)
-        assert payload["p99_inv"] == pytest.approx(250.0)  # 1/0.004s
-        assert payload["hit_rates"] == {"lru": 0.5}
 
     def test_restarted_target_counts_its_after_snapshot_alone(self):
         """A target whose counters went down restarted mid-run (rolling
@@ -391,70 +376,6 @@ class TestReport:
         }
         assert counters["orphaned_batches"] == {"live": 1, "cap": 16}
 
-    def test_append_history_is_atomic_under_threads(self, tmp_path):
-        path = tmp_path / "H.json"
-        errors = []
-
-        def writer(i):
-            try:
-                for k in range(25):
-                    append_history(path, f"exp{i}", {"k": k})
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=writer, args=(i,)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        entries = json.loads(path.read_text())
-        assert len(entries) == 100  # no entry lost to a race
-
-    def test_record_bench_delegates_to_locked_append(
-        self, tmp_path, monkeypatch
-    ):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            from history import record_bench
-        finally:
-            sys.path.remove("benchmarks")
-        dest = tmp_path / "BENCH_HISTORY.json"
-        monkeypatch.setenv("BENCH_HISTORY_PATH", str(dest))
-        record_bench("e99_test", {"value": 1.0})
-        record_bench("e99_test", {"value": 2.0})
-        entries = json.loads(dest.read_text())
-        assert [e["value"] for e in entries] == [1.0, 2.0]
-        assert all("recorded_at" in e for e in entries)
-
-    def test_drift_extracts_e20_metrics(self):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            from drift import extract_metrics
-        finally:
-            sys.path.remove("benchmarks")
-        entries = [
-            {
-                "experiment": "e20_loadgen",
-                "rps": 500.0,
-                "bytes_per_sec": 1e6,
-                "validated_fraction": 1.0,
-                "p99_inv": 50.0,
-                "hit_rates": {"lru": 0.6, "wire": 0.2},
-            }
-        ]
-        metrics = extract_metrics(entries)
-        assert metrics["e20.rps"] == 500.0
-        assert metrics["e20.validated_fraction"] == 1.0
-        assert metrics["e20.p99_inv"] == 50.0
-        assert metrics["e20.hit.lru"] == 0.6
-        assert metrics["e20.hit.wire"] == 0.2
 
 
 # ----------------------------------------------------------------------
@@ -463,14 +384,13 @@ class TestReport:
 
 
 class TestDriver:
-    def test_clean_run_validates_everything(self, tmp_path):
+    def test_clean_run_validates_everything(self):
         server = SolveServer(session=make_session())
         with server.run_in_thread() as handle:
             options = LoadgenOptions(
                 targets=[("127.0.0.1", handle.port)],
                 max_requests=50,
                 concurrency=4,
-                history_path=tmp_path / "H.json",
             )
             report = run_loadgen(options, TrafficModel(seed=3))
         validation = report["validation"]
@@ -482,9 +402,6 @@ class TestDriver:
         assert report["transport"]["failed"] == 0
         assert "lru" in report["tiers"]
         assert "wire" in report["tiers"]
-        entries = json.loads((tmp_path / "H.json").read_text())
-        assert entries[0]["experiment"] == "e20_loadgen"
-        assert entries[0]["validated_fraction"] == 1.0
 
     def test_fuzz_run_stays_clean_and_server_survives(self):
         server = SolveServer(session=make_session())

@@ -157,6 +157,36 @@ class TestServiceOps:
         assert wire_canonical(a) == wire_canonical(b)
 
 
+@pytest.mark.parametrize("wire", ["ndjson", "binary"])
+class TestStreamHygiene:
+    """``iter_solve_many`` leaves no batch line on the connection, so
+    the next request reads its own response (regression: it read the
+    batch's stale lines, and ``ping()`` came back ``False``)."""
+
+    def _docs(self):
+        return [family_request("minbusy", s)[0] for s in range(4)]
+
+    def test_abandoned_stream_is_drained_on_close(self, server, wire):
+        with client_for(server, wire=wire) as c:
+            stream = c.iter_solve_many(self._docs())
+            first = next(stream)
+            stream.close()  # abandon after one of four results
+            assert c.ping()
+            assert c.objectives() == sorted(ALL_FAMILIES)
+        assert wire_canonical(first) == direct_doc("minbusy", 0)
+
+    def test_all_results_pulled_leaves_done_read(self, server, wire):
+        with client_for(server, wire=wire) as c:
+            stream = c.iter_solve_many(self._docs())
+            results = [next(stream) for _ in range(4)]  # never resumed
+            assert c.ping()
+            assert c.objectives() == sorted(ALL_FAMILIES)
+            assert next(stream, None) is None
+        assert [wire_canonical(r) for r in results] == [
+            direct_doc("minbusy", s) for s in range(4)
+        ]
+
+
 def _solve_request(doc: dict, objective: str, **envelope) -> dict:
     """The request ``ServiceClient.solve`` sends, plus envelope fields."""
     return {
