@@ -28,8 +28,6 @@ re-run would measure):
 * ``e19_service``: the concurrent-vs-sequential service speedup,
 * ``e21_wire``: binary wire serving — NDJSON-equivalent bytes/sec,
   inverted binary p99 and the binary-vs-NDJSON wall speedup,
-* ``e22_repair``: the near-miss repair tier — repair-vs-cold-solve
-  speedup and the repair hit rate over attempted probes,
 * ``e23_obs``: observability overhead — ``overhead_inv``
   (``1/(1+overhead)``), so instrumentation getting *more* expensive
   reads as a drop.
@@ -105,12 +103,6 @@ def extract_metrics(entries: List[dict]) -> Dict[str, float]:
         for key in ("bytes_per_sec", "p99_inv", "wire_speedup"):
             if isinstance(e21.get(key), (int, float)):
                 metrics[f"e21.{key}"] = float(e21[key])
-    e22 = latest.get("e22_repair")
-    if e22:
-        if isinstance(e22.get("repair_speedup"), (int, float)):
-            metrics["e22.repair_speedup"] = float(e22["repair_speedup"])
-        if isinstance(e22.get("repair_hit_rate"), (int, float)):
-            metrics["e22.hit.repair"] = float(e22["repair_hit_rate"])
     e23 = latest.get("e23_obs")
     if e23 and isinstance(e23.get("overhead_inv"), (int, float)):
         metrics["e23.overhead_inv"] = float(e23["overhead_inv"])

@@ -7,7 +7,7 @@ implementations, so local and remote solving are interchangeable:
 
 * :class:`Session` — in-process; owns a private
   :class:`EngineConfig` (result LRU, persistent-store binding,
-  executor backend/workers, default deadline, repair tier), so two
+  executor backend/workers, default deadline), so two
   sessions in one process have disjoint cache stacks;
 * :class:`RemoteSession` — the same calls over a ``repro serve``
   socket (:class:`~repro.service.client.ServiceClient` underneath);
@@ -46,12 +46,10 @@ Swap in a server fleet without touching the call sites::
 
 from .config import (
     FOLLOW_ENV,
-    REPAIR_ENV_VAR,
     SHARDS_ENV_VAR,
     STORE_ENV_VAR,
     EngineConfig,
     ShardSpec,
-    parse_bool_env,
     parse_shard_entry,
     parse_shards,
 )
@@ -62,7 +60,6 @@ from .sharded import ShardedClient
 
 __all__ = [
     "FOLLOW_ENV",
-    "REPAIR_ENV_VAR",
     "SHARDS_ENV_VAR",
     "STORE_ENV_VAR",
     "EngineConfig",
@@ -71,7 +68,6 @@ __all__ = [
     "Session",
     "RemoteSession",
     "ShardedClient",
-    "parse_bool_env",
     "parse_shard_entry",
     "parse_shards",
     "result_from_doc",

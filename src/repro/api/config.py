@@ -2,18 +2,18 @@
 
 An :class:`EngineConfig` is the engine's whole configuration — the
 LRU bound, the persistent-store binding, the executor backend and its
-worker count, the default per-request deadline and the repair-tier
-switch — collected into one immutable value that a
-:class:`repro.api.Session` owns.  Two sessions in one process can
-therefore run disjoint cache stacks and different backends.
+worker count and the default per-request deadline — collected into
+one immutable value that a :class:`repro.api.Session` owns.  Two
+sessions in one process can therefore run disjoint cache stacks and
+different backends.
 
-:meth:`EngineConfig.from_env` is the one reader of the environment's
-engine settings (``REPRO_REPAIR``; the store binding follows
-``REPRO_CACHE_DIR`` by itself).  The CLI overlays its flags on it and
-a bare :class:`~repro.service.server.SolveServer` serves from
-``Session(EngineConfig.from_env())``.  ``REPRO_SHARDS`` is not an
-engine setting: it names the fleet the CLI assembles
-(:func:`parse_shards` → :meth:`~repro.api.ShardedClient.from_specs`).
+The environment holds no engine setting of its own: the store binding
+follows ``REPRO_CACHE_DIR`` by itself, the CLI builds its
+configuration from its flags, and a bare
+:class:`~repro.service.server.SolveServer` serves from
+``Session(EngineConfig())``.  ``REPRO_SHARDS`` is not an engine
+setting: it names the fleet the CLI assembles (:func:`parse_shards` →
+:meth:`~repro.api.ShardedClient.from_specs`).
 
 The store binding has three states:
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 from ..engine.cache import DEFAULT_CACHE_SIZE
 from ..engine.executors import BACKENDS
@@ -38,10 +38,8 @@ __all__ = [
     "EngineConfig",
     "STORE_ENV_VAR",
     "SHARDS_ENV_VAR",
-    "REPAIR_ENV_VAR",
     "ShardSpec",
     "enforceable_backend",
-    "parse_bool_env",
     "parse_shard_entry",
     "parse_shards",
 ]
@@ -77,30 +75,6 @@ STORE_ENV_VAR = "REPRO_CACHE_DIR"
 #: Environment variable naming the shard fleet (comma-separated
 #: ``host:port`` / ``local`` entries, optional ``*weight`` suffix).
 SHARDS_ENV_VAR = "REPRO_SHARDS"
-
-#: Environment variable enabling the near-miss repair cache tier.
-REPAIR_ENV_VAR = "REPRO_REPAIR"
-
-_BOOL_TRUE = frozenset({"1", "true", "yes", "on"})
-_BOOL_FALSE = frozenset({"0", "false", "no", "off"})
-
-
-def parse_bool_env(var: str, raw: str) -> bool:
-    """Parse a boolean ``REPRO_*`` variable with an actionable error.
-
-    Accepts the usual spellings case-insensitively; anything else
-    raises a :class:`ValueError` naming the variable instead of
-    surfacing a bare parse traceback.
-    """
-    value = raw.strip().lower()
-    if value in _BOOL_TRUE:
-        return True
-    if value in _BOOL_FALSE:
-        return False
-    raise ValueError(
-        f"environment variable {var}={raw!r} is not a valid boolean; "
-        "use 1/true/yes/on or 0/false/no/off, or unset it"
-    )
 
 
 @dataclass(frozen=True)
@@ -248,10 +222,6 @@ class EngineConfig:
     backend: str = "auto"
     workers: Optional[int] = None
     deadline: Optional[float] = None
-    #: Enable the near-miss repair tier between the LRU and the store
-    #: (:class:`repro.engine.repair.RepairTier`).  Only takes effect
-    #: when a persistent store is bound; default off.
-    repair: bool = False
 
     def __post_init__(self) -> None:
         if self.cache_size < 1:
@@ -275,20 +245,3 @@ class EngineConfig:
     def replace(self, **overrides: Any) -> "EngineConfig":
         """A copy with the given fields replaced (re-validated)."""
         return replace(self, **overrides)
-
-    @classmethod
-    def from_env(
-        cls, environ: Optional[Mapping[str, str]] = None
-    ) -> "EngineConfig":
-        """The configuration the process environment asks for.
-
-        Reads ``REPRO_REPAIR`` when present (junk raises a
-        ``ValueError`` naming the variable); the store binding stays
-        :data:`FOLLOW_ENV` so later ``REPRO_CACHE_DIR`` changes keep
-        taking effect.
-        """
-        env = os.environ if environ is None else environ
-        raw = env.get(REPAIR_ENV_VAR)
-        if not raw:
-            return cls()
-        return cls(repair=parse_bool_env(REPAIR_ENV_VAR, raw))

@@ -50,7 +50,6 @@ from ..engine.engine import (
     serve_hit,
 )
 from ..engine.executors import Executor, resolve_executor
-from ..engine.repair import RepairTier, clear_repair_index
 from ..engine.store import ResultStore, StoreStats
 from ..engine.tiers import LRUTier, StoreTier, TieredCache
 from ..obs import metrics as obs_metrics
@@ -118,7 +117,6 @@ class Session:
         self._store: Optional[ResultStore] = None
         self._store_env: Optional[str] = None
         self._store_resolved = False
-        self._repair_tier: Optional[RepairTier] = None
         self._closed = False
         self.store()  # fail fast on an unusable store directory
 
@@ -152,38 +150,16 @@ class Session:
                 self._store_resolved = True
             return self._store
 
-    def _repair(self, store: Optional[ResultStore]) -> Optional[RepairTier]:
-        """The session's repair tier, built lazily against the live store.
-
-        The tier holds an in-memory similarity index, so unlike the
-        adapter tiers it is *cached* — keyed by store identity, and
-        rebuilt whenever the store binding changes (``REPRO_CACHE_DIR``
-        re-resolution under :data:`~repro.api.FOLLOW_ENV`).
-        """
-        if not self.config.repair or store is None:
-            return None
-        with self._lock:
-            tier = self._repair_tier
-            if tier is None or tier.store is not store:
-                tier = RepairTier(store)
-                self._repair_tier = tier
-            return tier
-
     def cache(self) -> TieredCache:
-        """This session's cache stack: LRU over the optional store,
-        with the near-miss repair tier between them when enabled.
+        """This session's cache stack: LRU over the optional store.
 
         Rebuilt per call from the live bindings (cheap — adapter
-        objects plus the cached repair tier), so store rebinding takes
-        effect immediately and every entry point shares one
-        composition rule.
+        objects only), so store rebinding takes effect immediately and
+        every entry point shares one composition rule.
         """
         tiers: List[Any] = [LRUTier(self._lru)]
         store = self.store()
         if store is not None:
-            repair = self._repair(store)
-            if repair is not None:
-                tiers.append(repair)
             tiers.append(StoreTier(store))
         return TieredCache(tiers)
 
@@ -360,10 +336,7 @@ class Session:
             if use_cache and plans:
                 # One batched top-down probe of the whole stack; hits
                 # found in lower tiers are promoted on the way up.
-                hits = cache.get_many(
-                    [plan.key for plan in plans],
-                    contexts={plan.key: plan for plan in plans},
-                )
+                hits = cache.get_many([plan.key for plan in plans])
                 still: List[int] = []
                 for i, plan in enumerate(plans):
                     hit = hits.get(plan.key)
@@ -403,9 +376,7 @@ class Session:
                 plans[i].key: res for i, res in zip(unique, solved_list)
             }
 
-            cache.put_many(
-                solved, contexts={plans[i].key: plans[i] for i in unique}
-            )
+            cache.put_many(solved)
             for i in misses:
                 result = solved[plans[i].key]
                 if i != representative[plans[i].key]:
@@ -480,7 +451,6 @@ class Session:
             self._closed = True
             self._store = None
             self._store_resolved = False
-            self._drop_repair_tier()
 
     def __enter__(self) -> "Session":
         return self
@@ -491,18 +461,6 @@ class Session:
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("this Session is closed")
-
-    def _drop_repair_tier(self) -> None:
-        """Detach the repair tier, flushing its buffered counters so
-        another process (or a fresh tier) sees them (caller holds the
-        lock or is tearing the session down)."""
-        tier = self._repair_tier
-        if tier is not None:
-            try:
-                tier.flush_counters()
-            except Exception:
-                pass
-        self._repair_tier = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         store = self.config.store_path
@@ -528,17 +486,7 @@ class Session:
         return store.stats() if store is not None else None
 
     def clear_store(self) -> None:
-        """Drop every persisted result (no-op when disabled).
-
-        The repair tier's similarity index lives beside the store's
-        segments, so it is dropped (and the cached tier rebuilt) too —
-        a cleared store must repair nothing.
-        """
+        """Drop every persisted result (no-op when disabled)."""
         store = self.store()
         if store is not None:
             store.clear()
-            clear_repair_index(store.root)
-            with self._lock:
-                # No flush here: buffered counters died with the index
-                # on purpose — flushing would resurrect them.
-                self._repair_tier = None

@@ -13,14 +13,13 @@ occupancy engine (:class:`repro.core.occupancy.DemandOccupancy`): each
 machine probe becomes one vectorized windowed peak-demand sweep over
 the machine's NumPy event columns instead of a Python list scan.  The
 scalar ``_DemandMachine`` loop stays as the reference oracle; both
-paths produce bit-identical machine groupings, and both can resume
-from a trusted placement prefix (:func:`place_demand_first_fit`).
+paths produce bit-identical machine groupings.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.instance import Instance
 from ..core.jobs import Job
@@ -34,7 +33,6 @@ from .demands import max_demand_concurrency, validate_demand_schedule
 __all__ = [
     "demand_first_fit",
     "demand_first_fit_sort_key",
-    "place_demand_first_fit",
     "demand_split_by_class",
 ]
 
@@ -85,59 +83,27 @@ def demand_first_fit(
             raise ValueError(
                 f"job {job.job_id} demands {job.demand} > g={instance.g}"
             )
-    groups = place_demand_first_fit(ordered, instance.g, backend=backend)
-    validate_demand_schedule(groups, instance.g, instance.jobs)
-    return groups
-
-
-def place_demand_first_fit(
-    ordered: Sequence[Job],
-    g: int,
-    *,
-    prefix: Sequence[int] = (),
-    backend: str = "auto",
-) -> List[List[Job]]:
-    """The demand-FirstFit loop over jobs already in placement order.
-
-    The first ``len(prefix)`` jobs land unprobed on the machines
-    ``prefix`` lists (an earlier run's; the engine's ``seed`` re-checks
-    them, the scalar loop trusts them); the rest are placed.
-    """
-    k = len(prefix)
+    g = instance.g
     resolved = resolve_backend(backend, len(ordered), DEMAND_FIRSTFIT_MIN_SIZE)
     if resolved == "scalar":
-        groups: List[List[Job]] = []
-        for job, m in zip(ordered[:k], prefix):
-            while m >= len(groups):
-                groups.append([])
-            groups[m].append(job)
-        machines = [_DemandMachine(g, group) for group in groups]
-        for job in ordered[k:]:
+        machines: List[_DemandMachine] = []
+        for job in ordered:
             for m in machines:
                 if m.fits(job):
                     m.jobs.append(job)
                     break
             else:
                 machines.append(_DemandMachine(g, [job]))
-        return [m.jobs for m in machines]
-    occ = DemandOccupancy(g)
-    head = ordered[:k]
-    occ.seed(
-        (
-            [j.start for j in head],
-            [j.end for j in head],
-            [j.demand for j in head],
-        ),
-        prefix,
-    )
-    groups = [[] for _ in range(occ.n_machines)]
-    for job, m in zip(head, prefix):
-        groups[m].append(job)
-    for job in ordered[k:]:
-        m = occ.first_fit(job.start, job.end, job.demand)
-        if m == len(groups):
-            groups.append([])
-        groups[m].append(job)
+        groups = [m.jobs for m in machines]
+    else:
+        occ = DemandOccupancy(g)
+        groups = []
+        for job in ordered:
+            m = occ.first_fit(job.start, job.end, job.demand)
+            if m == len(groups):
+                groups.append([])
+            groups[m].append(job)
+    validate_demand_schedule(groups, g, instance.jobs)
     return groups
 
 

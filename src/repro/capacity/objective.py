@@ -21,11 +21,10 @@ certificate, and the verifier re-checks demand validity with
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping
+from typing import Any, Mapping
 
 from ..core.errors import InstanceError
 from ..core.instance import BudgetInstance, Instance
-from ..core.jobs import Job
 from ..core.registry import (
     REGISTRY,
     ObjectiveSpec,
@@ -34,17 +33,12 @@ from ..core.registry import (
 )
 from ..core.schedule import Schedule
 from ..engine.fingerprint import fingerprint_v2, job_table
-from ..engine.repair import RepairSpec, assignment_trace
 from .demands import (
     demand_lower_bound,
     demand_schedule_cost,
     validate_demand_schedule,
 )
-from .firstfit import (
-    demand_first_fit,
-    demand_first_fit_sort_key,
-    place_demand_first_fit,
-)
+from .firstfit import demand_first_fit
 
 __all__ = ["SPEC"]
 
@@ -65,25 +59,6 @@ def _fingerprint(instance: Instance) -> str:
     return fingerprint_v2("capacity", instance.g, job_table(instance))
 
 
-def _routes_first_fit(instance: Instance) -> bool:
-    """Genuine demand profiles run demand FirstFit; unit demands are
-    the base problem and take the MinBusy dispatcher."""
-    return any(j.demand != 1 for j in instance.jobs)
-
-
-def _first_fit_solved(instance: Instance, groups: List[List[Job]]) -> Solved:
-    schedule = Schedule.from_groups(instance.g, groups)
-    return Solved(
-        algorithm="demand_first_fit",
-        guarantee=None,
-        cost=demand_schedule_cost(groups),
-        throughput=instance.n,
-        schedule=schedule,
-        assignment_by_position=schedule_by_position(instance.jobs, schedule),
-        detail={"lower_bound": demand_lower_bound(instance)},
-    )
-
-
 def _solve(instance: Instance) -> Solved:
     detail = {"lower_bound": demand_lower_bound(instance)}
     if instance.n == 0:
@@ -95,16 +70,25 @@ def _solve(instance: Instance) -> Solved:
             schedule=Schedule(g=instance.g),
             detail=detail,
         )
-    if _routes_first_fit(instance):
-        return _first_fit_solved(instance, demand_first_fit(instance))
-    from ..minbusy import solve_min_busy
+    if all(j.demand == 1 for j in instance.jobs):
+        # Unit demands are the base problem: the MinBusy dispatcher.
+        from ..minbusy import solve_min_busy
 
-    inner = solve_min_busy(instance)
-    schedule = inner.schedule
+        inner = solve_min_busy(instance)
+        schedule = inner.schedule
+        algorithm = f"unit_demand:{inner.algorithm}"
+        guarantee = inner.guarantee
+        cost = schedule.cost
+    else:
+        groups = demand_first_fit(instance)
+        schedule = Schedule.from_groups(instance.g, groups)
+        algorithm = "demand_first_fit"
+        guarantee = None
+        cost = demand_schedule_cost(groups)
     return Solved(
-        algorithm=f"unit_demand:{inner.algorithm}",
-        guarantee=inner.guarantee,
-        cost=schedule.cost,
+        algorithm=algorithm,
+        guarantee=guarantee,
+        cost=cost,
         throughput=instance.n,
         schedule=schedule,
         assignment_by_position=schedule_by_position(instance.jobs, schedule),
@@ -131,16 +115,5 @@ SPEC = REGISTRY.register(
         solve=_solve,
         verify=_verify,
         description="MinBusy with per-job capacity demands (Section 5)",
-        repair=RepairSpec(
-            algorithm="demand_first_fit",
-            routes=_routes_first_fit,
-            rows=job_table,
-            items=lambda instance: instance.jobs,
-            sort_key=demand_first_fit_sort_key,
-            place=place_demand_first_fit,
-            solved=_first_fit_solved,
-            encode=assignment_trace,
-            threaded=False,
-        ),
     )
 )

@@ -195,9 +195,8 @@ def session_from_args(
     """One :class:`repro.api.Session` built from the shared engine flags.
 
     Both ``repro solve`` and ``repro serve`` construct their engine
-    state here: the flags overlaid on
-    :meth:`~repro.api.EngineConfig.from_env` (the one reader of the
-    environment's engine settings) with ``replace``.  The store binding is resolved eagerly (inside ``Session``
+    state here, an :class:`~repro.api.EngineConfig` built from the
+    flags.  The store binding is resolved eagerly (inside ``Session``
     construction) so an unusable store directory (unwritable, or a
     path through a regular file) fails with an actionable message
     instead of a traceback mid-solve; an unenforceable
@@ -229,7 +228,7 @@ def session_from_args(
     if include_deadline:
         kwargs["deadline"] = getattr(args, "deadline", None)
     try:
-        config = EngineConfig.from_env().replace(
+        config = EngineConfig(
             store_path=store,
             backend=args.backend or default_backend,
             workers=getattr(args, "workers", None),
@@ -668,20 +667,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.action == "clear":
         if root.exists():
-            from .engine.repair import clear_repair_index
-
             _open_store(root).clear()
-            # The store's own clear never descends into the repair
-            # index; drop it here so a cleared store repairs nothing.
-            clear_repair_index(root)
             print(f"cleared {root}")
         else:
             print(f"{root}: no store")
         return 0
     # stats
     if root.exists():
-        from .engine.repair import repair_index_stats
-
         s = _open_store(root).stats()
         doc = {
             "path": s.path,
@@ -693,9 +685,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             "segments": s.segments,
             "total_bytes": s.total_bytes,
         }
-        repair = repair_index_stats(root)
-        if repair is not None:
-            doc["repair"] = repair
     else:
         doc = {
             "path": str(root),

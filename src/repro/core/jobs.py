@@ -20,8 +20,8 @@ paper's case analysis:
 * :func:`sort_jobs` — the canonical ``J_1 <= J_2 <= ...`` ordering.
 
 :func:`job_columns` reads every job's fields in one pass; the
-fingerprint, the wire document and the repair row tables all start
-from its columns instead of walking the ``Job`` objects themselves.
+fingerprint and the wire document both start from its columns instead
+of walking the ``Job`` objects themselves.
 """
 
 from __future__ import annotations

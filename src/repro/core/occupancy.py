@@ -48,16 +48,11 @@ Design rules (matching :mod:`repro.core.vectorized`):
   sweep, a wrap-around arc mask) — measured crossovers sit near ~350
   and ~200 jobs respectively, so routing them at 64 would *slow down*
   mid-sized instances.
-* **Seeding.**  ``seed`` bulk-loads an earlier run's first ``k``
-  placements so a family loop (``prefix=``) resumes at item ``k`` —
-  how the repair tier replays a one-job delta.  The prefix is trusted
-  for its decisions, not its feasibility: ``seed`` rejects overlapping
-  items on one thread (a machine over ``g``, for demands).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -74,7 +69,6 @@ __all__ = [
     "RingOccupancy",
     "DemandOccupancy",
     "firstfit_min_size",
-    "machines_from_trace",
     "resolve_backend",
 ]
 
@@ -132,26 +126,6 @@ def resolve_backend(
     return "scalar" if n < threshold else "vectorized"
 
 
-def machines_from_trace(
-    items: Sequence[Any],
-    tids: Sequence[int],
-    g: int,
-    make_machine: Callable[[int, List[List[Any]]], Any],
-) -> List[Any]:
-    """Machines (``make_machine(machine_id, threads)``) holding
-    ``items[i]`` on global thread ``tids[i]``, appended in order — the
-    per-thread lists of the FirstFit run that produced ``tids``."""
-    tids = np.asarray(tids, dtype=np.intp)
-    n_machines = int(tids.max()) // g + 1 if tids.size else 0
-    threads: List[List[Any]] = [[] for _ in range(n_machines * g)]
-    for item, tid in zip(items, tids.tolist()):
-        threads[tid].append(item)
-    return [
-        make_machine(m, threads[m * g : (m + 1) * g])
-        for m in range(n_machines)
-    ]
-
-
 class OccupancyEngine:
     """Shared core: growing coordinate columns + the first-fit scan.
 
@@ -162,9 +136,6 @@ class OccupancyEngine:
     """
 
     N_COLUMNS = 2
-    #: ``(lo, hi)`` columns of an axis two items must overlap on to
-    #: overlap at all — the axis :meth:`seed`'s conflict check sorts on.
-    SWEEP_AXIS = (0, 1)
 
     def __init__(self, g: int, *, initial_capacity: int = 256) -> None:
         if g < 1:
@@ -178,8 +149,7 @@ class OccupancyEngine:
 
     # ------------------------------------------------------------------
     def _overlap_mask(self, cols: np.ndarray, row: Tuple[float, ...]) -> np.ndarray:
-        """Boolean mask of placed jobs overlapping the query ``row``
-        (element-wise when ``row`` holds arrays, as :meth:`seed` uses)."""
+        """Boolean mask of placed jobs overlapping the query ``row``."""
         raise NotImplementedError
 
     def _append(self, row: Tuple[float, ...], tid: int) -> None:
@@ -192,62 +162,6 @@ class OccupancyEngine:
         self._columns[:, n] = row
         self._tids[n] = tid
         self.n_placed = n + 1
-
-    # ------------------------------------------------------------------
-    def seed(self, columns: Any, tids: Any) -> None:
-        """Start a fresh engine from a trusted placement prefix.
-
-        ``columns`` holds one coordinate sequence per column (in
-        ``first_fit`` argument order) over the prefix items in
-        placement order; ``tids`` the thread id each took.  Raises
-        :class:`InvalidScheduleError` on a negative thread id or two
-        overlapping items on one thread — no FirstFit run has either.
-        """
-        cols = np.asarray(columns, dtype=np.float64)
-        tids = np.asarray(tids, dtype=np.intp)
-        k = tids.size
-        if not k:
-            return
-        if int(tids.min()) < 0 or self._thread_conflict(cols, tids):
-            raise InvalidScheduleError(
-                "placement prefix puts overlapping items on one thread"
-            )
-        if k > self._columns.shape[1]:
-            self._columns = np.empty((self.N_COLUMNS, 2 * k))
-            self._tids = np.empty(2 * k, dtype=np.intp)
-        self._columns[:, :k] = cols
-        self._tids[:k] = tids
-        self.n_placed = k
-        self.n_machines = int(tids.max()) // self.g + 1
-
-    def _thread_conflict(self, cols: np.ndarray, tids: np.ndarray) -> bool:
-        """Whether two items share a thread and overlap.
-
-        Sorted by ``(thread, lo)`` on the sweep axis, the items that can
-        meet an item follow it in a run (same thread, starting before
-        it ends); offsets ``d = 1, 2, ...`` over the runs still open
-        visit exactly those pairs, each tested as :meth:`first_fit`
-        would (earlier-placed item as column, later one as query).
-        """
-        lo_col, hi_col = self.SWEEP_AXIS
-        order = np.lexsort((cols[lo_col], tids))
-        thread = tids[order]
-        lo = cols[lo_col, order]
-        hi = cols[hi_col, order]
-        run = np.arange(order.size)
-        d = 1
-        while True:
-            run = run[run + d < order.size]
-            nxt = run + d
-            run = run[(thread[nxt] == thread[run]) & (lo[nxt] < hi[run])]
-            if not run.size:
-                return False
-            a, b = order[run], order[run + d]
-            placed, query = np.minimum(a, b), np.maximum(a, b)
-            mask = self._overlap_mask(cols[:, placed], tuple(cols[:, query]))
-            if mask.any():
-                return True
-            d += 1
 
     def first_fit(self, *row: float) -> Tuple[int, int]:
         """Place the job at ``row``; returns ``(machine, thread)``.
@@ -298,7 +212,6 @@ class RectOccupancy(OccupancyEngine):
     """
 
     N_COLUMNS = 4
-    SWEEP_AXIS = (0, 2)
 
     def _overlap_mask(self, cols: np.ndarray, row: Tuple[float, ...]) -> np.ndarray:
         x0, y0, x1, y1 = row
@@ -326,7 +239,6 @@ class RingOccupancy(OccupancyEngine):
     """
 
     N_COLUMNS = 4
-    SWEEP_AXIS = (2, 3)
 
     def first_fit(  # type: ignore[override]
         self, a0: float, alen: float, t0: float, t1: float,
@@ -334,13 +246,6 @@ class RingOccupancy(OccupancyEngine):
     ) -> Tuple[int, int]:
         self._query_circumference = float(circumference)
         return super().first_fit(a0, alen, t0, t1)
-
-    def seed(  # type: ignore[override]
-        self, columns: Any, tids: Any, circumference: float
-    ) -> None:
-        """:meth:`OccupancyEngine.seed` for items on one ring."""
-        self._query_circumference = float(circumference)
-        super().seed(columns, tids)
 
     def _overlap_mask(self, cols: np.ndarray, row: Tuple[float, ...]) -> np.ndarray:
         a0, alen, t0, t1 = row
@@ -381,42 +286,6 @@ class DemandOccupancy:
     @property
     def n_machines(self) -> int:
         return len(self._machines)
-
-    def seed(self, columns: Any, machines: Any) -> None:
-        """Start a fresh engine from a trusted placement prefix.
-
-        ``columns`` is ``(starts, ends, demands)`` over the prefix items
-        in placement order, ``machines`` the machine each took.  Raises
-        :class:`InvalidScheduleError` on a negative or skipped machine
-        index or a machine whose peak demand exceeds ``g``.
-        """
-        starts, ends = (np.asarray(c, dtype=np.float64) for c in columns[:2])
-        demands = np.asarray(columns[2], dtype=np.int64)
-        machines = np.asarray(machines, dtype=np.intp)
-        if not machines.size:
-            return
-        n_open = int(machines.max()) + 1
-        if int(machines.min()) < 0 or np.unique(machines).size != n_open:
-            raise InvalidScheduleError("placement prefix skips a machine")
-        # All machines in one sweep: events in (machine, time, delta)
-        # order, departures first at ties as in ``_fits``.  Each
-        # machine's deltas sum to zero, so the running total restarts
-        # at 0 per machine and its maximum is the largest peak.
-        signed = np.concatenate((demands, -demands))
-        order = np.lexsort(
-            (signed, np.concatenate((starts, ends)),
-             np.concatenate((machines, machines)))
-        )
-        if int(np.cumsum(signed[order]).max()) > self.g:
-            raise InvalidScheduleError(
-                f"placement prefix exceeds capacity {self.g} on a machine"
-            )
-        for _ in range(n_open):
-            self._open()
-        for row in zip(
-            machines.tolist(), starts.tolist(), ends.tolist(), demands.tolist()
-        ):
-            self._add(*row)
 
     def _fits(self, m: int, s: float, e: float, d: int) -> bool:
         starts, ends, demands, count = self._machines[m]

@@ -154,10 +154,6 @@ class ObjectiveSpec:
     solve: Solver
     verify: Optional[Verifier] = None
     description: str = ""
-    #: Optional near-miss repair descriptor (``repro.engine.repair.
-    #: RepairSpec``) for families whose FirstFit arm supports one-job
-    #: incremental re-solve.  ``None`` = family not repairable.
-    repair: Optional[Any] = None
 
     def check_instance(self, instance: Any) -> Any:
         """Type-check caller input; raise a routed InstanceError."""

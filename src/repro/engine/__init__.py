@@ -108,7 +108,6 @@ from .executors import (
 from .fingerprint import fingerprint_v2, instance_fingerprint, solve_key
 from .health import EJECTED, HEALTHY, SUSPECT, FleetHealth, ShardCircuit
 from .partition import Partitioner, RingPartitioner
-from .repair import REPAIR_INDEX_VERSION, RepairSpec, RepairTier
 from .store import STORE_VERSION, ResultStore, StoreStats, default_store_dir
 from .tiers import CacheTier, LRUTier, StoreTier, TieredCache
 
@@ -146,9 +145,6 @@ __all__ = [
     "RingPartitioner",
     "CacheTier",
     "LRUTier",
-    "RepairSpec",
-    "RepairTier",
-    "REPAIR_INDEX_VERSION",
     "StoreTier",
     "TieredCache",
     "fingerprint_v2",

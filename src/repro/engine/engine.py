@@ -201,7 +201,7 @@ def cached_result(
 ) -> Optional[EngineResult]:
     """The plan's result from the cache stack, rebound to its instance
     (tiers are probed top-down; lower-tier hits are promoted)."""
-    hit = cache.get(plan.key, context=plan)
+    hit = cache.get(plan.key)
     if hit is None:
         return None
     return serve_hit(hit, plan.instance)
@@ -211,7 +211,7 @@ def install_result(
     plan: SolvePlan, result: EngineResult, cache: TieredCache
 ) -> None:
     """Write a fresh result through every cache tier."""
-    cache.put(plan.key, result, context=plan)
+    cache.put(plan.key, result)
 
 
 def _verified(plan: SolvePlan, result: EngineResult) -> EngineResult:

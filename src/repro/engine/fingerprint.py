@@ -51,9 +51,7 @@ from ..core.instance import BudgetInstance, Instance
 __all__ = [
     "instance_fingerprint",
     "job_table",
-    "fingerprint_v1",
     "fingerprint_v2",
-    "rows_fingerprint",
     "key_from_fingerprint",
     "solve_key",
 ]
@@ -64,40 +62,16 @@ _VERSION = b"busytime-fingerprint-v1"
 _VERSION_V2 = b"busytime-fingerprint-v2"
 
 
-#: Objectives keyed by v1; every other family hashes v2 under its name.
-_V1_OBJECTIVES = frozenset({"minbusy", "maxthroughput"})
-
-
 def instance_fingerprint(instance: AnyInstance) -> str:
     """Hex SHA-256 digest canonically identifying the instance."""
-    return fingerprint_v1(
-        instance.g, job_table(instance), getattr(instance, "budget", None)
-    )
-
-
-def fingerprint_v1(
-    g: int, rows: np.ndarray, budget: Optional[float] = None
-) -> str:
-    """The frozen v1 digest of a :func:`job_table` (plus the budget)."""
+    rows = job_table(instance)
+    budget = getattr(instance, "budget", None)
     h = hashlib.sha256()
     h.update(_VERSION)
-    h.update(f"|n={len(rows)}|g={g}|T={budget!r}|".encode())
+    h.update(f"|n={len(rows)}|g={instance.g}|T={budget!r}|".encode())
     if len(rows):
-        h.update(np.ascontiguousarray(rows, dtype=np.float64).tobytes())
+        h.update(rows.tobytes())
     return h.hexdigest()
-
-
-def rows_fingerprint(
-    objective: str,
-    g: int,
-    rows: np.ndarray,
-    scalars: Optional[Mapping[str, object]] = None,
-) -> str:
-    """An objective's fingerprint from its content rows and scalars
-    alone (how the repair tier certifies stored rows)."""
-    if objective in _V1_OBJECTIVES:
-        return fingerprint_v1(g, rows, (scalars or {}).get("budget"))
-    return fingerprint_v2(objective, g, rows, scalars=scalars)
 
 
 def job_table(instance: AnyInstance) -> np.ndarray:
@@ -106,8 +80,7 @@ def job_table(instance: AnyInstance) -> np.ndarray:
     :attr:`~repro.core.instance.Instance.columns`.
 
     These are the bytes the v1 fingerprint hashes, and the rows the
-    capacity/energy v2 fingerprints hash and the repair tier indexes
-    for MinBusy and capacity.
+    capacity/energy v2 fingerprints hash.
     """
     n = instance.n
     return np.column_stack(

@@ -38,27 +38,16 @@ import importlib
 import threading
 from typing import Any, Mapping, Optional
 
-import numpy as np
-
 from ..core.errors import InstanceError
 from ..core.instance import BudgetInstance, Instance
-from ..core.intervals import span_length
 from ..core.registry import (
     REGISTRY,
     ObjectiveSpec,
     Solved,
     schedule_by_position,
 )
-from ..minbusy.dispatch import route_min_busy
-from ..minbusy.firstfit import (
-    FIRST_FIT_GUARANTEE,
-    first_fit_thread_ids,
-    firstfit_sort_key,
-    place_first_fit,
-)
 from .dispatch import pick_throughput_solver
-from .fingerprint import instance_fingerprint, job_table
-from .repair import RepairSpec, assignment_trace
+from .fingerprint import instance_fingerprint
 
 __all__ = ["ensure_registered", "MINBUSY_SPEC", "MAXTHROUGHPUT_SPEC"]
 
@@ -117,37 +106,6 @@ def _minbusy_solve(instance: Instance) -> Solved:
     )
 
 
-def _minbusy_first_fit_solved(instance: Instance, machines) -> Solved:
-    """The FirstFit arm's result from its machines, in the positional
-    form a store hit has (``schedule=None``; ``serve_hit`` inflates the
-    Schedule).  Its cost is ``Schedule.cost``'s sum — per-machine
-    union length in ascending machine order — on bare endpoints."""
-    position = dict(zip(map(id, instance.jobs), range(instance.n)))
-    by_position = np.empty(instance.n, dtype=np.int64)
-    busy = []
-    for mid, machine in enumerate(machines):
-        jobs = machine.jobs
-        by_position[[position[id(job)] for job in jobs]] = mid
-        busy.append(span_length([(job.start, job.end) for job in jobs]))
-    return Solved(
-        algorithm="first_fit",
-        guarantee=FIRST_FIT_GUARANTEE,
-        cost=float(sum(busy)),
-        throughput=instance.n,
-        assignment_by_position=tuple(by_position.tolist()),
-    )
-
-
-def _minbusy_trace(instance: Instance, result: Any, perm) -> Any:
-    # Stored results carry machines only; FirstFit's thread choice
-    # within a machine is recoverable from them.
-    machines = assignment_trace(instance, result, perm)
-    if machines is None:
-        return None
-    jobs = instance.jobs
-    return first_fit_thread_ids([jobs[i] for i in perm], instance.g, machines)
-
-
 def _minbusy_verify(instance: Instance, solved: Solved) -> None:
     from ..analysis.verify import verify_min_busy_schedule
 
@@ -166,16 +124,6 @@ MINBUSY_SPEC = REGISTRY.register(
         solve=_minbusy_solve,
         verify=_minbusy_verify,
         description="total busy time (the paper's primary objective)",
-        repair=RepairSpec(
-            algorithm="first_fit",
-            routes=lambda instance: route_min_busy(instance) == "first_fit",
-            rows=job_table,
-            items=lambda instance: instance.jobs,
-            sort_key=firstfit_sort_key,
-            place=place_first_fit,
-            solved=_minbusy_first_fit_solved,
-            encode=_minbusy_trace,
-        ),
     )
 )
 

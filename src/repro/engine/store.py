@@ -29,8 +29,7 @@ design chosen for multi-writer safety on POSIX filesystems:
   no lock is ever taken on the counter hot path);
   :meth:`ResultStore.stats` sums every counter file, so ``repro cache
   stats`` shows that a second CLI invocation really was served from
-  disk.  The repair tier keeps its ``rstats-*.json`` counters the same
-  way.  These files are the only count of store and repair probes:
+  disk.  These files are the only count of store probes:
   ``repro metrics`` projects them from ``cache_stats``, and the
   metrics registry keeps no mirror of them.
 
@@ -108,31 +107,30 @@ class StoreStats(NamedTuple):
 
 
 class CounterFile:
-    """A counter set kept per process under a shared file prefix.
+    """The store's hit/miss/put counters, kept per process.
 
     This instance publishes its own counts to
-    ``<root>/<prefix>-<pid>-<nonce>.json`` by atomic replace — single
+    ``<root>/stats-<pid>-<nonce>.json`` by atomic replace — single
     writer, so no lock other processes contend on; :meth:`totals` sums
     every process's file.  When to :meth:`write` is the owner's flush
     policy.
     """
 
-    def __init__(
-        self, root: os.PathLike, prefix: str, fields: Iterable[str]
-    ) -> None:
+    FIELDS = ("hits", "misses", "puts")
+
+    def __init__(self, root: os.PathLike) -> None:
         self.root = Path(root)
-        self.prefix = prefix
-        self.counts: Dict[str, int] = dict.fromkeys(fields, 0)
+        self.counts: Dict[str, int] = dict.fromkeys(self.FIELDS, 0)
         self._path: Optional[Path] = None
 
     def _files(self) -> List[Path]:
-        return list(self.root.glob(f"{self.prefix}-*.json"))
+        return list(self.root.glob("stats-*.json"))
 
     def write(self) -> bool:
         """Publish this instance's counts; ``False`` if that failed."""
         if self._path is None:
             self._path = self.root / (
-                f"{self.prefix}-{os.getpid()}-{uuid.uuid4().hex[:8]}.json"
+                f"stats-{os.getpid()}-{uuid.uuid4().hex[:8]}.json"
             )
         tmp = self._path.with_suffix(".tmp")
         try:
@@ -208,9 +206,7 @@ class ResultStore:
         self._index: Dict[str, Tuple[Path, int]] = {}
         self._scanned: Dict[str, int] = {}
         self._own_segment: Optional[Path] = None
-        self._counters = CounterFile(
-            self.root, "stats", ("hits", "misses", "puts")
-        )
+        self._counters = CounterFile(self.root)
         self.refresh()
 
     # ------------------------------------------------------------------
@@ -323,38 +319,6 @@ class ResultStore:
         if key not in self._index:
             self.refresh()
         return key in self._index
-
-    def keys(self) -> List[str]:
-        """Snapshot of every indexed key (refreshes first)."""
-        self.refresh()
-        with self._lock:
-            return list(self._index)
-
-    def peek(self, key: str) -> Optional[Any]:
-        """Like :meth:`get` but without touching the hit/miss counters.
-
-        Used by maintenance readers (e.g. the repair tier's index
-        builder) whose scans must not distort serving statistics.
-        """
-        out = self.peek_many([key])
-        return out.get(key)
-
-    def peek_many(self, keys: Iterable[str]) -> Dict[str, Any]:
-        """Batch :meth:`peek`: one tail re-scan, no counter update."""
-        keys = list(keys)
-        found: Dict[str, Any] = {}
-        missing = [k for k in keys if k not in self._index]
-        if missing:
-            self.refresh()
-        with self._lock:
-            locations = {
-                k: self._index[k] for k in keys if k in self._index
-            }
-        for key, (seg, offset) in locations.items():
-            value = self._read_at(seg, offset)
-            if value is not None:
-                found[key] = value
-        return found
 
     # ------------------------------------------------------------------
     # writes

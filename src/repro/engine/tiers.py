@@ -20,18 +20,8 @@ composes an ordered stack of them —
 * ``stats`` reports per-tier counters under the tier's name.
 
 The concrete tiers wrap the existing engines unchanged:
-:class:`LRUTier` over :class:`repro.engine.cache.LRUCache`,
-:class:`StoreTier` over :class:`repro.engine.store.ResultStore`, and —
-slotted between them when ``EngineConfig(repair=True)`` — the
-incremental-resolve :class:`repro.engine.repair.RepairTier`, which
-repairs a stored near-miss instead of re-solving.
-
-Tiers that need the *instance* behind a key (the repair tier replays
-placements against the real jobs) set a truthy ``needs_context``
-attribute; :class:`TieredCache` then passes the caller-supplied
-``context`` (a :class:`~repro.engine.engine.SolvePlan`) through to
-their ``get``/``put`` calls.  Context-free tiers keep the original
-key/value signatures untouched.
+:class:`LRUTier` over :class:`repro.engine.cache.LRUCache` and
+:class:`StoreTier` over :class:`repro.engine.store.ResultStore`.
 """
 
 from __future__ import annotations
@@ -215,37 +205,22 @@ class TieredCache:
     def __init__(self, tiers: Sequence[CacheTier]) -> None:
         self.tiers: List[CacheTier] = list(tiers)
 
-    @staticmethod
-    def _wants_context(tier: CacheTier) -> bool:
-        return bool(getattr(tier, "needs_context", False))
-
-    def get(self, key: str, context: Optional[Any] = None) -> Optional[Any]:
+    def get(self, key: str) -> Optional[Any]:
         with obs_trace.span("cache.probe") as probe:
             for i, tier in enumerate(self.tiers):
-                if self._wants_context(tier):
-                    value = tier.get(key, context=context)  # type: ignore[call-arg]
-                else:
-                    value = tier.get(key)
+                value = tier.get(key)
                 if value is not None:
                     probe.set("hit", tier.name)
                     for upper in self.tiers[:i]:
-                        if self._wants_context(upper):
-                            upper.put(key, value, context=context)  # type: ignore[call-arg]
-                        else:
-                            upper.put(key, value)
+                        upper.put(key, value)
                     return value
             probe.set("hit", "none")
         return None
 
-    def get_many(
-        self,
-        keys: Iterable[str],
-        contexts: Optional[Mapping[str, Any]] = None,
-    ) -> Dict[str, Any]:
+    def get_many(self, keys: Iterable[str]) -> Dict[str, Any]:
         """Batched top-down probe: each tier sees one batched lookup of
         the keys every faster tier missed, and its hits are promoted
-        upward in one batched write per tier.  ``contexts`` maps keys to
-        their :class:`SolvePlan` for tiers that ``needs_context``."""
+        upward in one batched write per tier."""
         pending: List[str] = []
         seen = set()
         for key in keys:  # preserve order, drop duplicates
@@ -257,42 +232,24 @@ class TieredCache:
             for i, tier in enumerate(self.tiers):
                 if not pending:
                     break
-                if self._wants_context(tier):
-                    hits = tier.get_many(pending, contexts=contexts)  # type: ignore[call-arg]
-                else:
-                    hits = tier.get_many(pending)
+                hits = tier.get_many(pending)
                 if hits:
                     for upper in self.tiers[:i]:
-                        if self._wants_context(upper):
-                            upper.put_many(hits, contexts=contexts)  # type: ignore[call-arg]
-                        else:
-                            upper.put_many(hits)
+                        upper.put_many(hits)
                     found.update(hits)
                     pending = [k for k in pending if k not in hits]
             probe.set("hits", len(found))
         return found
 
-    def put(
-        self, key: str, value: Any, context: Optional[Any] = None
-    ) -> None:
+    def put(self, key: str, value: Any) -> None:
         for tier in self.tiers:
-            if self._wants_context(tier):
-                tier.put(key, value, context=context)  # type: ignore[call-arg]
-            else:
-                tier.put(key, value)
+            tier.put(key, value)
 
-    def put_many(
-        self,
-        items: Mapping[str, Any],
-        contexts: Optional[Mapping[str, Any]] = None,
-    ) -> None:
+    def put_many(self, items: Mapping[str, Any]) -> None:
         if not items:
             return
         for tier in self.tiers:
-            if self._wants_context(tier):
-                tier.put_many(items, contexts=contexts)  # type: ignore[call-arg]
-            else:
-                tier.put_many(items)
+            tier.put_many(items)
 
     def stats(self) -> Dict[str, Dict[str, Any]]:
         """Per-tier counters keyed by tier name, in probe order."""

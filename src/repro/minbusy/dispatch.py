@@ -60,10 +60,9 @@ class SolveResult:
 def route_min_busy(instance: Instance) -> str:
     """Name the algorithm :func:`solve_min_busy` would pick.
 
-    Pure routing — no solving.  Shared with the near-miss repair tier,
-    which may only replay deltas for instances that dispatch to the
-    ``first_fit`` arm; keeping the case analysis in one place means the
-    repair predicate can never drift from the dispatcher.
+    Pure routing — no solving: the case analysis above as one
+    predicate chain, so callers can ask which arm an instance takes
+    without running it.
     """
     if instance.n == 0:
         return "empty"

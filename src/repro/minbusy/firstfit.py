@@ -23,9 +23,6 @@ placement loop through the event-indexed occupancy engine
 "first machine that fits" query with one batched NumPy scan instead of
 per-machine ``try_add`` probing; the scalar loop below is the reference
 oracle and the two produce bit-identical machine/thread structures.
-Both can resume from a trusted placement prefix
-(:func:`place_first_fit`'s ``prefix=``), which is how the near-miss
-repair tier replays a one-job delta through this same loop.
 
 The 2-D generalization (Algorithm 3 of the paper) lives in
 ``repro.rect.firstfit2d``; this 1-D version shares its structure.
@@ -33,11 +30,7 @@ The 2-D generalization (Algorithm 3 of the paper) lives in
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from ..core.instance import Instance
 from ..core.jobs import Job
@@ -45,7 +38,6 @@ from ..core.machines import Machine
 from ..core.occupancy import (
     FIRSTFIT_VECTORIZE_MIN_SIZE,
     IntervalOccupancy,
-    machines_from_trace,
     resolve_backend,
 )
 from ..core.schedule import Schedule
@@ -54,8 +46,6 @@ from .base import check_result, group_schedule
 __all__ = [
     "solve_first_fit",
     "first_fit_machines",
-    "place_first_fit",
-    "first_fit_thread_ids",
     "firstfit_sort_key",
     "FIRST_FIT_GUARANTEE",
     "FIRSTFIT_VECTORIZE_MIN_SIZE",
@@ -84,83 +74,25 @@ def first_fit_machines(
     ``FIRSTFIT_VECTORIZE_MIN_SIZE`` jobs, scalar below), ``"scalar"``
     or ``"vectorized"``; both paths return bit-identical structures.
     """
-    return place_first_fit(
-        sorted(jobs, key=firstfit_sort_key), g, backend=backend
-    )
-
-
-def place_first_fit(
-    ordered: Sequence[Job],
-    g: int,
-    *,
-    prefix: Sequence[int] = (),
-    backend: str = "auto",
-) -> List[Machine]:
-    """The FirstFit loop over jobs already in placement order.
-
-    The first ``len(prefix)`` jobs land unprobed on the global thread
-    ids ``prefix`` lists (an earlier run's; the engine's ``seed``
-    re-checks them, the scalar loop trusts them); the rest are placed.
-    """
-    k = len(prefix)
-    make = partial(Machine, g)
+    ordered = sorted(jobs, key=firstfit_sort_key)
+    machines: List[Machine] = []
     if resolve_backend(backend, len(ordered)) == "scalar":
-        machines = machines_from_trace(ordered[:k], prefix, g, make)
-        for job in ordered[k:]:
+        for job in ordered:
             for m in machines:
                 if m.try_add(job) is not None:
                     break
             else:
-                m = make(len(machines))
+                m = Machine(g=g, machine_id=len(machines))
                 m.add(job)
                 machines.append(m)
         return machines
     occ = IntervalOccupancy(g)
-    head = ordered[:k]
-    occ.seed(([j.start for j in head], [j.end for j in head]), prefix)
-    machines = machines_from_trace(head, prefix, g, make)
-    for job in ordered[k:]:
+    for job in ordered:
         m, tau = occ.first_fit(job.start, job.end)
         if m == len(machines):
-            machines.append(make(m))
+            machines.append(Machine(g=g, machine_id=m))
         machines[m].threads[tau].append(job)
     return machines
-
-
-def first_fit_thread_ids(
-    ordered: Sequence[Job], g: int, machine_ids: Sequence[int]
-) -> Optional[np.ndarray]:
-    """Global thread ids of a FirstFit run known by its machines only.
-
-    FirstFit takes the lowest fitting thread of a machine, so replaying
-    that choice recovers them (``None``: not a FirstFit run).  Threads
-    are sorted disjoint interval lists: one bisect per fit test.
-    """
-    tids = np.empty(len(ordered), dtype=np.int64)
-    threads: Dict[int, Tuple[List[float], List[float]]] = {}
-    n_open = 0
-    for k, (job, m) in enumerate(zip(ordered, machine_ids)):
-        m = int(m)
-        if m > n_open or m < 0:
-            return None
-        if m == n_open:
-            n_open += 1
-        s, e = job.start, job.end
-        for tid in range(m * g, (m + 1) * g):
-            rec = threads.get(tid)
-            if rec is None:
-                threads[tid] = rec = ([], [])
-                break
-            i = bisect_left(rec[0], e)
-            if i == 0 or rec[1][i - 1] <= s:
-                break
-        else:
-            return None
-        i = bisect_left(rec[0], s)
-        rec[0].insert(i, s)
-        rec[1].insert(i, e)
-        tids[k] = tid
-    return tids
 
 
 def solve_first_fit(instance: Instance) -> Schedule:

@@ -13,8 +13,8 @@ Two formats over one :meth:`MetricsRegistry.snapshot` document:
   also what the ``metrics`` wire op returns.
 
 :func:`stats_samples` projects a ``cache_stats`` document — the
-counter blocks (tiers, wire, wire_transport, repair, orphaned batches,
-shard circuits) — into registry-shaped families, so `repro metrics`
+counter blocks (tiers, wire, wire_transport, orphaned batches, shard
+circuits) — into registry-shaped families, so `repro metrics`
 exposes the whole serving surface while each count stays in its one
 block (the projection is a read-time view; the registry keeps no
 twin).  :func:`sum_stats` is the one cross-target sum of such
@@ -203,7 +203,7 @@ def stats_samples(stats: Dict[str, Any]) -> Dict[str, Any]:
     Every numeric leaf becomes one sample of ``repro_stats_counter``
     or ``repro_stats_gauge`` with a dotted ``path`` label (plus a
     ``block`` label naming the top-level section), so the whole
-    existing counter surface — tiers, wire, wire_transport, repair,
+    existing counter surface — tiers, wire, wire_transport,
     orphaned_batches, shard circuits — is scrapeable without changing
     how any of it is maintained or rendered in ``cache_stats``.
     """

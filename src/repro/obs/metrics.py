@@ -17,9 +17,9 @@ component that wants isolated numbers constructs a private
 ``MetricsRegistry`` and passes it down.
 
 Each event is counted in one place.  A count that has a
-``cache_stats`` block (tier probes, repair attempts, shard circuits,
-wire replays) lives only in that block and reaches ``repro metrics``
-through the read-time projection :func:`repro.obs.expo.stats_samples`;
+``cache_stats`` block (tier probes, shard circuits, wire replays)
+lives only in that block and reaches ``repro metrics`` through the
+read-time projection :func:`repro.obs.expo.stats_samples`;
 the registry holds latency histograms and the counts that have no
 block (solves, executor tasks, server requests).
 

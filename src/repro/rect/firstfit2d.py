@@ -17,29 +17,20 @@ Large instances route the placement loop through the event-indexed
 occupancy engine (:class:`repro.core.occupancy.RectOccupancy`); the
 scalar ``try_add`` loop is the reference oracle and both paths build
 bit-identical machine/thread structures (this also accelerates
-``bucket_first_fit``, which runs FirstFit per bucket).  Both can resume
-from a trusted placement prefix (:func:`place_first_fit_2d`).
+``bucket_first_fit``, which runs FirstFit per bucket).
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from ..core.occupancy import (
-    RectOccupancy,
-    machines_from_trace,
-    resolve_backend,
-)
+from ..core.occupancy import RectOccupancy, resolve_backend
 from .rectangles import Rect, gamma
 from .schedule2d import RectMachine, RectSchedule
 
 __all__ = [
     "first_fit_2d",
     "first_fit_2d_sort_key",
-    "place_first_fit_2d",
     "first_fit_ratio_bounds",
 ]
 
@@ -57,44 +48,23 @@ def first_fit_2d(
     ``backend`` is ``"auto"``/``"scalar"``/``"vectorized"``; all paths
     build bit-identical structures.
     """
-    return place_first_fit_2d(
-        sorted(rects, key=first_fit_2d_sort_key), g, backend=backend
-    )
-
-
-def place_first_fit_2d(
-    ordered: Sequence[Rect],
-    g: int,
-    *,
-    prefix: Sequence[int] = (),
-    backend: str = "auto",
-) -> RectSchedule:
-    """The Algorithm 3 loop over rectangles already in placement order.
-
-    ``prefix`` works as in :func:`repro.minbusy.firstfit.place_first_fit`.
-    """
-    k = len(prefix)
-    make = partial(RectMachine, g)
+    ordered = sorted(rects, key=first_fit_2d_sort_key)
+    machines: List[RectMachine] = []
     if resolve_backend(backend, len(ordered)) == "scalar":
-        machines = machines_from_trace(ordered[:k], prefix, g, make)
-        for rect in ordered[k:]:
+        for rect in ordered:
             for m in machines:
                 if m.try_add(rect) is not None:
                     break
             else:
-                m = make(len(machines))
+                m = RectMachine(g=g, machine_id=len(machines))
                 m.try_add(rect)
                 machines.append(m)
         return RectSchedule(g=g, machines=machines)
     occ = RectOccupancy(g)
-    head = ordered[:k]
-    rows = np.array([(r.x0, r.y0, r.x1, r.y1) for r in head]).reshape(-1, 4)
-    occ.seed(rows.T, prefix)
-    machines = machines_from_trace(head, prefix, g, make)
-    for rect in ordered[k:]:
+    for rect in ordered:
         m, tau = occ.first_fit(rect.x0, rect.y0, rect.x1, rect.y1)
         if m == len(machines):
-            machines.append(make(m))
+            machines.append(RectMachine(g=g, machine_id=m))
         machines[m].threads[tau].append(rect)
     return RectSchedule(g=g, machines=machines)
 

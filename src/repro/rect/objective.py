@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
-import numpy as np
-
 from ..core.errors import InstanceError
 from ..core.registry import (
     REGISTRY,
@@ -32,9 +30,8 @@ from ..core.registry import (
     threads_by_position,
 )
 from ..engine.fingerprint import fingerprint_v2
-from ..engine.repair import RepairSpec, threads_trace
 from .bucket import PAPER_BETA, bucket_first_fit
-from .firstfit2d import first_fit_2d, first_fit_2d_sort_key, place_first_fit_2d
+from .firstfit2d import first_fit_2d
 from .instance import RectInstance
 from .schedule2d import RectMachine, RectSchedule
 
@@ -45,19 +42,12 @@ def _normalize(instance: Any, params: Mapping[str, Any]) -> RectInstance:
     return instance
 
 
-def _rows(instance: RectInstance) -> np.ndarray:
-    """The fingerprint's content rows ``(x0, y0, x1, y1)``."""
-    return np.array(
-        [(r.x0, r.y0, r.x1, r.y1) for r in instance.rects], dtype=np.float64
-    ).reshape(-1, 4)
-
-
 def _fingerprint(instance: RectInstance) -> str:
-    return fingerprint_v2("rect2d", instance.g, _rows(instance))
-
-
-def _routes_first_fit(instance: RectInstance) -> bool:
-    return instance.n > 0 and instance.gamma1 <= PAPER_BETA
+    return fingerprint_v2(
+        "rect2d",
+        instance.g,
+        [(r.x0, r.y0, r.x1, r.y1) for r in instance.rects],
+    )
 
 
 def rebuild_schedule(instance: RectInstance, machines_pos) -> RectSchedule:
@@ -72,12 +62,27 @@ def rebuild_schedule(instance: RectInstance, machines_pos) -> RectSchedule:
     )
 
 
-def _solved(
-    instance: RectInstance,
-    schedule: RectSchedule,
-    algorithm: str,
-    guarantee: float,
-) -> Solved:
+def _solve(instance: RectInstance) -> Solved:
+    if instance.n == 0:
+        return Solved(
+            algorithm="empty",
+            guarantee=None,
+            cost=0.0,
+            throughput=0,
+            detail={"machines": (), "n_machines": 0},
+        )
+    gamma1 = instance.gamma1
+    if gamma1 <= PAPER_BETA:
+        schedule = first_fit_2d(instance.rects, instance.g)
+        algorithm = "first_fit_2d"
+        guarantee = 6.0 * gamma1 + 4.0
+    else:
+        schedule = bucket_first_fit(instance.rects, instance.g)
+        buckets = max(
+            1, math.ceil(math.log(gamma1) / math.log(PAPER_BETA) - 1e-12)
+        )
+        algorithm = f"bucket_first_fit(beta={PAPER_BETA})"
+        guarantee = buckets * (6.0 * PAPER_BETA + 4.0)
     return Solved(
         algorithm=algorithm,
         guarantee=guarantee,
@@ -89,38 +94,6 @@ def _solved(
             ),
             "n_machines": len(schedule.machines),
         },
-    )
-
-
-def _first_fit_solved(
-    instance: RectInstance, schedule: RectSchedule
-) -> Solved:
-    return _solved(
-        instance, schedule, "first_fit_2d", 6.0 * instance.gamma1 + 4.0
-    )
-
-
-def _solve(instance: RectInstance) -> Solved:
-    if instance.n == 0:
-        return Solved(
-            algorithm="empty",
-            guarantee=None,
-            cost=0.0,
-            throughput=0,
-            detail={"machines": (), "n_machines": 0},
-        )
-    if _routes_first_fit(instance):
-        return _first_fit_solved(
-            instance, first_fit_2d(instance.rects, instance.g)
-        )
-    buckets = max(
-        1, math.ceil(math.log(instance.gamma1) / math.log(PAPER_BETA) - 1e-12)
-    )
-    return _solved(
-        instance,
-        bucket_first_fit(instance.rects, instance.g),
-        f"bucket_first_fit(beta={PAPER_BETA})",
-        buckets * (6.0 * PAPER_BETA + 4.0),
     )
 
 
@@ -141,15 +114,5 @@ SPEC = REGISTRY.register(
         solve=_solve,
         verify=_verify,
         description="2-D rectangle busy-area minimization (Section 3.4)",
-        repair=RepairSpec(
-            algorithm="first_fit_2d",
-            routes=_routes_first_fit,
-            rows=_rows,
-            items=lambda instance: instance.rects,
-            sort_key=first_fit_2d_sort_key,
-            place=place_first_fit_2d,
-            solved=_first_fit_solved,
-            encode=threads_trace,
-        ),
     )
 )

@@ -155,8 +155,8 @@ class SolveServer:
     (``None`` = unbounded), and ``port=0`` binds an ephemeral port
     (read :attr:`port` after startup).  ``session`` is the
     :class:`repro.api.Session` whose cache stack the server probes and
-    installs into (default: ``Session(EngineConfig.from_env())``, a
-    private stack configured from the process environment).
+    installs into (default: ``Session(EngineConfig())``, a private
+    stack with the default settings).
     """
 
     def __init__(
@@ -204,12 +204,12 @@ class SolveServer:
         # The cache stack this server probes and installs into.  An
         # explicit Session isolates the server from everything else in
         # the process (the CLI's `repro serve` builds one from its
-        # flags); the default is a private session configured from the
-        # process environment.
+        # flags); the default is a private session with the default
+        # settings.
         if session is None:
             from ..api import EngineConfig, Session
 
-            session = Session(EngineConfig.from_env())
+            session = Session(EngineConfig())
         self.session = session
         # Executor knobs default to the session's own config, so a
         # server given Session(backend="process", workers=8) serves

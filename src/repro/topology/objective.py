@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import Any, List, Mapping
 
-import numpy as np
-
 from ..core.errors import InstanceError
 from ..core.registry import (
     REGISTRY,
@@ -28,16 +26,13 @@ from ..core.registry import (
     threads_by_position,
 )
 from ..engine.fingerprint import fingerprint_v2
-from ..engine.repair import RepairSpec, threads_trace
 from ..rect.bucket import PAPER_BETA
 from .instance import RingInstance, TreeInstance
 from .ring_firstfit import (
     RingMachine,
     RingSchedule,
-    place_ring_first_fit,
     ring_bucket_first_fit,
     ring_first_fit,
-    ring_first_fit_sort_key,
 )
 from .tree_greedy import tree_one_sided_greedy, tree_schedule_cost
 
@@ -53,34 +48,13 @@ def _ring_normalize(instance: Any, params: Mapping[str, Any]) -> RingInstance:
     return instance
 
 
-def _ring_rows(instance: RingInstance) -> np.ndarray:
-    """The fingerprint's content rows ``(a0, alen, t0, t1)``."""
-    return np.array(
-        [(j.a0, j.alen, j.t0, j.t1) for j in instance.jobs], dtype=np.float64
-    ).reshape(-1, 4)
-
-
-def _ring_scalars(instance: RingInstance) -> dict:
-    return {"circumference": instance.circumference}
-
-
 def _ring_fingerprint(instance: RingInstance) -> str:
     return fingerprint_v2(
         "ring",
         instance.g,
-        _ring_rows(instance),
-        scalars=_ring_scalars(instance),
+        [(j.a0, j.alen, j.t0, j.t1) for j in instance.jobs],
+        scalars={"circumference": instance.circumference},
     )
-
-
-def _ring_gamma1(instance: RingInstance) -> float:
-    """Arc-length ratio ``γ₁`` (drives dispatch and the guarantee)."""
-    arc_lens = [j.len1 for j in instance.jobs]
-    return max(arc_lens) / min(arc_lens)
-
-
-def _ring_routes_first_fit(instance: RingInstance) -> bool:
-    return instance.n > 0 and _ring_gamma1(instance) <= PAPER_BETA
 
 
 def ring_rebuild_schedule(
@@ -97,12 +71,30 @@ def ring_rebuild_schedule(
     )
 
 
-def _ring_solved(
-    instance: RingInstance,
-    schedule: RingSchedule,
-    algorithm: str,
-    guarantee: float,
-) -> Solved:
+def _ring_solve(instance: RingInstance) -> Solved:
+    if instance.n == 0:
+        return Solved(
+            algorithm="empty",
+            guarantee=None,
+            cost=0.0,
+            throughput=0,
+            detail={"machines": (), "n_machines": 0},
+        )
+    arc_lens = [j.len1 for j in instance.jobs]
+    gamma1 = max(arc_lens) / min(arc_lens)
+    if gamma1 <= PAPER_BETA:
+        schedule = ring_first_fit(instance.jobs, instance.g)
+        algorithm = "ring_first_fit"
+        guarantee = 6.0 * gamma1 + 4.0
+    else:
+        schedule = ring_bucket_first_fit(
+            instance.jobs, instance.g, PAPER_BETA
+        )
+        buckets = max(
+            1, math.ceil(math.log(gamma1) / math.log(PAPER_BETA) - 1e-12)
+        )
+        algorithm = f"ring_bucket_first_fit(beta={PAPER_BETA})"
+        guarantee = buckets * (6.0 * PAPER_BETA + 4.0)
     return Solved(
         algorithm=algorithm,
         guarantee=guarantee,
@@ -114,42 +106,6 @@ def _ring_solved(
             ),
             "n_machines": len(schedule.machines),
         },
-    )
-
-
-def _ring_first_fit_solved(
-    instance: RingInstance, schedule: RingSchedule
-) -> Solved:
-    return _ring_solved(
-        instance,
-        schedule,
-        "ring_first_fit",
-        6.0 * _ring_gamma1(instance) + 4.0,
-    )
-
-
-def _ring_solve(instance: RingInstance) -> Solved:
-    if instance.n == 0:
-        return Solved(
-            algorithm="empty",
-            guarantee=None,
-            cost=0.0,
-            throughput=0,
-            detail={"machines": (), "n_machines": 0},
-        )
-    if _ring_routes_first_fit(instance):
-        return _ring_first_fit_solved(
-            instance, ring_first_fit(instance.jobs, instance.g)
-        )
-    gamma1 = _ring_gamma1(instance)
-    buckets = max(
-        1, math.ceil(math.log(gamma1) / math.log(PAPER_BETA) - 1e-12)
-    )
-    return _ring_solved(
-        instance,
-        ring_bucket_first_fit(instance.jobs, instance.g, PAPER_BETA),
-        f"ring_bucket_first_fit(beta={PAPER_BETA})",
-        buckets * (6.0 * PAPER_BETA + 4.0),
     )
 
 
@@ -183,17 +139,6 @@ RING_SPEC = REGISTRY.register(
         solve=_ring_solve,
         verify=_ring_verify,
         description="busy-area minimization on ring topologies (Section 5)",
-        repair=RepairSpec(
-            algorithm="ring_first_fit",
-            routes=_ring_routes_first_fit,
-            rows=_ring_rows,
-            scalars=_ring_scalars,
-            items=lambda instance: instance.jobs,
-            sort_key=ring_first_fit_sort_key,
-            place=place_ring_first_fit,
-            solved=_ring_first_fit_solved,
-            encode=threads_trace,
-        ),
     )
 )
 

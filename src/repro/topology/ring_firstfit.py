@@ -9,23 +9,18 @@ occupancy engine (:class:`repro.core.occupancy.RingOccupancy`), whose
 overlap mask performs the cylinder test — time overlap and wrap-around
 arc overlap — element-wise over the placed jobs' coordinate columns.
 The scalar ``try_add`` loop stays as the reference oracle; both paths
-build bit-identical machine/thread structures, and both can resume from
-a trusted placement prefix (:func:`place_ring_first_fit`).
+build bit-identical machine/thread structures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..core.occupancy import (
     RING_FIRSTFIT_MIN_SIZE,
     RingOccupancy,
-    machines_from_trace,
     resolve_backend,
 )
 from .ring import RingJob, ring_union_area
@@ -35,7 +30,6 @@ __all__ = [
     "RingSchedule",
     "ring_first_fit",
     "ring_first_fit_sort_key",
-    "place_ring_first_fit",
     "ring_bucket_first_fit",
 ]
 
@@ -97,50 +91,28 @@ def ring_first_fit(
     ``"scalar"`` or ``"vectorized"``; all paths build bit-identical
     machine/thread structures.
     """
-    return place_ring_first_fit(
-        sorted(jobs, key=ring_first_fit_sort_key), g, backend=backend
-    )
-
-
-def place_ring_first_fit(
-    ordered: Sequence[RingJob],
-    g: int,
-    *,
-    prefix: Sequence[int] = (),
-    backend: str = "auto",
-) -> RingSchedule:
-    """The cylinder FirstFit loop over jobs already in placement order.
-
-    ``prefix`` works as in :func:`repro.minbusy.firstfit.place_first_fit`.
-    """
-    k = len(prefix)
-    make = partial(RingMachine, g)
+    ordered = sorted(jobs, key=ring_first_fit_sort_key)
+    machines: List[RingMachine] = []
     resolved = resolve_backend(backend, len(ordered), RING_FIRSTFIT_MIN_SIZE)
     if resolved == "scalar":
-        machines = machines_from_trace(ordered[:k], prefix, g, make)
-        for job in ordered[k:]:
+        for job in ordered:
             for m in machines:
                 if m.try_add(job) is not None:
                     break
             else:
-                m = make(len(machines))
+                m = RingMachine(g=g, machine_id=len(machines))
                 m.try_add(job)
                 machines.append(m)
         return RingSchedule(g=g, machines=machines)
     occ = RingOccupancy(g)
-    head = ordered[:k]
-    if k:  # the prefix lies on one ring (as a RingInstance's jobs do)
-        rows = np.array([(j.a0, j.alen, j.t0, j.t1) for j in head])
-        occ.seed(rows.T, prefix, head[0].circumference)
-    machines = machines_from_trace(head, prefix, g, make)
-    for job in ordered[k:]:
+    for job in ordered:
         # The scalar pair test uses the *query* job's circumference
         # (RingJob.overlaps passes self.circumference).
         m, tau = occ.first_fit(
             job.a0, job.alen, job.t0, job.t1, job.circumference
         )
         if m == len(machines):
-            machines.append(make(m))
+            machines.append(RingMachine(g=g, machine_id=m))
         machines[m].threads[tau].append(job)
     return RingSchedule(g=g, machines=machines)
 

@@ -15,13 +15,13 @@ thread-safety regression for env-following store rebinding.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
 import pytest
 
 from repro.api import (
-    FOLLOW_ENV,
     EngineConfig,
     RemoteSession,
     Session,
@@ -453,14 +453,14 @@ class TestSessionIsolation:
 
 class TestDefaultSessionThreadSafety:
     """Regression: store rebinding of an env-following session (the
-    one a bare ``SolveServer`` builds from ``EngineConfig.from_env()``)
-    used to race on unguarded state."""
+    one a bare ``SolveServer`` builds from ``EngineConfig()``) used to
+    race on unguarded state."""
 
     def test_env_rebinding_race_is_coherent(self, tmp_path, monkeypatch):
         """Readers flipping through ``cache()`` while the env binding
         churns must only ever observe one of the two valid stacks —
         never a torn binding or an exception."""
-        session = Session(EngineConfig.from_env())
+        session = Session(EngineConfig())
         dir_a = str(tmp_path / "a")
         dir_b = str(tmp_path / "b")
         stop = threading.Event()
@@ -523,15 +523,15 @@ class TestEngineConfig:
             session.solve(inst, backend="serial", deadline=0.5)
         session.close()
 
-    def test_from_env_reads_knobs(self, monkeypatch):
-        """``REPRO_REPAIR`` is the one engine knob in the environment;
-        variables outside the inventory are not read at all."""
-        monkeypatch.setenv("REPRO_REPAIR", "1")
-        monkeypatch.setenv("REPRO_BACKEND", "nonsense")
-        monkeypatch.setenv("REPRO_WORKERS", "four")
-        config = EngineConfig.from_env()
-        assert config == EngineConfig(repair=True)
-        assert config.store_path is FOLLOW_ENV
+    def test_fields_are_pinned(self):
+        """The engine's whole configuration; a new knob edits this."""
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "cache_size",
+            "store_path",
+            "backend",
+            "workers",
+            "deadline",
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="backend"):

@@ -255,44 +255,6 @@ class TestMachineReadableOutput:
             "total_bytes",
         } <= set(doc)
 
-    def test_cache_stats_repair_block_schema(self, tmp_path, capsys):
-        """A store with a similarity index reports the repair block
-        with its pinned counter schema (and ``--shard`` aggregation
-        sums the same numeric keys)."""
-        from repro.api import EngineConfig, Session
-
-        with Session(
-            EngineConfig(store_path=str(tmp_path), repair=True)
-        ) as session:
-            doc, _ = family_request("minbusy", 0)
-            from repro.io import objective_instance_from_dict
-
-            session.solve(
-                objective_instance_from_dict(doc, "minbusy"), "minbusy"
-            )
-        assert (
-            main(["cache", "stats", "--dir", str(tmp_path), "--json"]) == 0
-        )
-        out = json.loads(capsys.readouterr().out)
-        assert set(out["repair"]) == {
-            "attempts",
-            "hits",
-            "aborts",
-            "indexed",
-            "path",
-        }
-        assert out["repair"]["indexed"] >= 1
-
-    def test_repro_repair_junk_names_the_variable(
-        self, inst_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_REPAIR", "maybe")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["solve", inst_path, "--no-store"])
-        message = exit_message(excinfo)
-        assert "REPRO_REPAIR" in message
-        assert excinfo.value.code not in (0, None)
-
     def test_solve_backend_flag_json(self, inst_path, capsys):
         for backend in ("serial", "process", "async"):
             assert (

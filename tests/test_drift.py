@@ -51,21 +51,6 @@ class TestExtract:
     def test_garbage_tolerated(self):
         assert extract_metrics([{"nonsense": 1}, {}]) == {}
 
-    def test_e22_repair_keys(self):
-        metrics = extract_metrics(
-            [
-                {
-                    "experiment": "e22_repair",
-                    "repair_speedup": 4.5,
-                    "repair_hit_rate": 1.0,
-                    "cold_seconds": 0.9,  # absolute — never extracted
-                }
-            ]
-        )
-        assert metrics == {
-            "e22.repair_speedup": 4.5,
-            "e22.hit.repair": 1.0,
-        }
 
 
 class TestDiff:

@@ -17,11 +17,7 @@ costs.  Coverage:
   agree with the scalar oracle below, at and above
   ``FIRSTFIT_VECTORIZE_MIN_SIZE``;
 * the equal-length tie-break regression pinning the documented
-  ``(-length, start, job_id)`` placement key;
-* resuming from a trusted prefix: each family's placement loop, seeded
-  with the first ``k`` placements of a cold run (``prefix=``), must
-  rebuild the cold structure on both backends, and the engines'
-  ``seed`` must refuse infeasible prefixes.
+  ``(-length, start, job_id)`` placement key.
 """
 
 from __future__ import annotations
@@ -32,38 +28,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.jobs import Job, make_jobs
-from repro.core.errors import InvalidScheduleError
 from repro.core.occupancy import (
     FIRSTFIT_VECTORIZE_MIN_SIZE,
-    DemandOccupancy,
     IntervalOccupancy,
-    RectOccupancy,
-    RingOccupancy,
     resolve_backend,
 )
-from repro.capacity.firstfit import (
-    demand_first_fit,
-    demand_first_fit_sort_key,
-    place_demand_first_fit,
-)
-from repro.minbusy.firstfit import (
-    first_fit_machines,
-    firstfit_sort_key,
-    place_first_fit,
-)
+from repro.capacity.firstfit import demand_first_fit
+from repro.minbusy.firstfit import first_fit_machines, firstfit_sort_key
 from repro.rect.bucket import bucket_first_fit
-from repro.rect.firstfit2d import (
-    first_fit_2d,
-    first_fit_2d_sort_key,
-    place_first_fit_2d,
-)
+from repro.rect.firstfit2d import first_fit_2d
 from repro.topology.ring import RingJob
-from repro.topology.ring_firstfit import (
-    place_ring_first_fit,
-    ring_bucket_first_fit,
-    ring_first_fit,
-    ring_first_fit_sort_key,
-)
+from repro.topology.ring_firstfit import ring_bucket_first_fit, ring_first_fit
 from repro.workloads import (
     random_clique_instance,
     random_demand_instance,
@@ -413,116 +388,3 @@ class TestOccupancyEngineUnit:
         assert occ.first_fit(0.0, 10.0) == (0, 2)
         assert occ.first_fit(0.0, 10.0) == (1, 0)
         assert occ.n_machines == 2
-
-
-# ----------------------------------------------------------------------
-# resuming from a trusted placement prefix
-# ----------------------------------------------------------------------
-
-PREFIX_N = 70
-
-
-def _thread_trace(ordered, machines, g):
-    """Global thread id of every item of ``ordered`` in a cold run."""
-    tid = {
-        id(x): m * g + tau
-        for m, machine in enumerate(machines)
-        for tau, thread in enumerate(machine.threads)
-        for x in thread
-    }
-    return [tid[id(x)] for x in ordered]
-
-
-def _prefix_lengths(n):
-    return sorted({0, 1, n // 2, n})
-
-
-@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-class TestPrefixResume:
-    """``place_*(ordered, g, prefix=trace[:k])`` == the cold run."""
-
-    def test_minbusy(self, backend):
-        jobs = list(random_general_instance(PREFIX_N, 3, seed=5).jobs)
-        cold = first_fit_machines(jobs, 3, backend=backend)
-        ordered = sorted(jobs, key=firstfit_sort_key)
-        trace = _thread_trace(ordered, cold, 3)
-        for k in _prefix_lengths(len(ordered)):
-            resumed = place_first_fit(
-                ordered, 3, prefix=trace[:k], backend=backend
-            )
-            assert canon_1d(resumed) == canon_1d(cold), k
-
-    def test_capacity(self, backend):
-        inst = random_demand_instance(PREFIX_N, 4, seed=5, horizon=60.0)
-        cold = demand_first_fit(inst, backend=backend)
-        ordered = sorted(inst.jobs, key=demand_first_fit_sort_key)
-        machine = {id(j): m for m, grp in enumerate(cold) for j in grp}
-        trace = [machine[id(j)] for j in ordered]
-        for k in _prefix_lengths(len(ordered)):
-            resumed = place_demand_first_fit(
-                ordered, 4, prefix=trace[:k], backend=backend
-            )
-            assert canon_groups(resumed) == canon_groups(cold), k
-
-    def test_rect2d(self, backend):
-        rects = random_rects(PREFIX_N, seed=5)
-        cold = first_fit_2d(rects, 3, backend=backend)
-        ordered = sorted(rects, key=first_fit_2d_sort_key)
-        trace = _thread_trace(ordered, cold.machines, 3)
-        for k in _prefix_lengths(len(ordered)):
-            resumed = place_first_fit_2d(
-                ordered, 3, prefix=trace[:k], backend=backend
-            )
-            assert canon_sched(resumed) == canon_sched(cold), k
-
-    def test_ring(self, backend):
-        jobs = _ring_jobs(3)
-        cold = ring_first_fit(jobs, 2, backend=backend)
-        ordered = sorted(jobs, key=ring_first_fit_sort_key)
-        trace = _thread_trace(ordered, cold.machines, 2)
-        for k in _prefix_lengths(len(ordered)):
-            resumed = place_ring_first_fit(
-                ordered, 2, prefix=trace[:k], backend=backend
-            )
-            assert canon_sched(resumed) == canon_sched(cold), k
-
-
-class TestSeedRejectsInfeasiblePrefix:
-    """``seed`` trusts a prefix's decisions, never its feasibility."""
-
-    def test_interval_overlap_on_one_thread(self):
-        occ = IntervalOccupancy(3)
-        with pytest.raises(InvalidScheduleError):
-            occ.seed(([0.0, 5.0], [10.0, 12.0]), [0, 0])
-        IntervalOccupancy(3).seed(([0.0, 5.0], [10.0, 12.0]), [0, 1])
-        IntervalOccupancy(3).seed(([0.0, 10.0], [10.0, 12.0]), [0, 0])
-
-    def test_negative_thread_id(self):
-        with pytest.raises(InvalidScheduleError):
-            IntervalOccupancy(2).seed(([0.0], [1.0]), [-1])
-
-    def test_rect_overlap_found_past_the_first_neighbor(self):
-        # Same thread, x-overlapping; the clash is two items apart in
-        # sweep order, behind a y-disjoint neighbour.
-        cols = ([0.0, 0.5, 1.0], [0.0, 5.0, 0.5], [3.0, 2.0, 2.0],
-                [1.0, 6.0, 1.5])
-        with pytest.raises(InvalidScheduleError):
-            RectOccupancy(2).seed(cols, [0, 0, 0])
-        RectOccupancy(2).seed(cols, [0, 0, 1])
-
-    def test_ring_overlap_wraps_around(self):
-        # Arcs [0.9, 1.1) and [0.05, 0.15) meet across 0 on a unit ring.
-        cols = ([0.9, 0.05], [0.2, 0.1], [0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(InvalidScheduleError):
-            RingOccupancy(2).seed(cols, [0, 0], 1.0)
-        RingOccupancy(2).seed(cols, [0, 1], 1.0)
-
-    def test_demand_over_capacity(self):
-        cols = ([0.0, 1.0], [4.0, 5.0], [2, 2])
-        with pytest.raises(InvalidScheduleError):
-            DemandOccupancy(3).seed(cols, [0, 0])
-        DemandOccupancy(4).seed(cols, [0, 0])
-
-    def test_demand_skipped_machine(self):
-        with pytest.raises(InvalidScheduleError):
-            DemandOccupancy(3).seed(([0.0], [1.0], [1]), [1])
