@@ -14,7 +14,8 @@ implementations, so local and remote solving are interchangeable:
 * :class:`ShardedClient` — a thin Session whose execute slot is a
   :class:`~repro.engine.executors.ShardedExecutor`: consistent-hash
   fan-out across N other clients with shard failover and fleet
-  circuit health (the ROADMAP's fleet-scale item).  Shard endpoints
+  circuit health (the ROADMAP's fleet-scale item).  Every call,
+  ``solve_stream`` included, is one router batch.  Shard endpoints
   parse from :data:`SHARDS_ENV_VAR` (``REPRO_SHARDS``) or CLI
   ``--shard`` flags into :class:`ShardSpec`\\ s.
 

@@ -13,12 +13,13 @@ therefore runs the full layered pipeline locally —
     plan → tiered-cache probe → in-batch fingerprint dedup
          → ShardedExecutor (route / fan out / fail over) → install
 
-— and only the *unique misses* cross the fleet.  That composition is
-what PR 5's client-side fan-out could not do: a dead shard no longer
-kills the batch (its slice re-routes to survivors and the failure is
+— and only the *unique misses* cross the fleet: a dead shard does not
+kill the batch (its slice re-routes to survivors and the failure is
 recorded in the fleet's circuit state), duplicates dedup before any
 socket is touched, and per-call deadlines ride the executor's
-``with_deadline`` view.
+``with_deadline`` view.  ``solve``, ``solve_many`` and ``solve_stream``
+all take this one path (a stream is one router batch, yielded in
+order), and ``objectives`` is the router's own registry listing.
 
 Routing is by **consistent hash** of the objective-qualified content
 key (:class:`~repro.engine.partition.RingPartitioner`, weighted), so
@@ -37,21 +38,11 @@ shard SIGKILLed mid-batch.
 
 from __future__ import annotations
 
-import contextvars
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-)
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-from ..engine.engine import MINBUSY, EngineResult, SolvePlan, plan_solve
+from ..engine.engine import EngineResult, SolvePlan
 from ..engine.executors import ShardedExecutor
 from ..engine.partition import Partitioner, RingPartitioner
 from .config import EngineConfig, ShardSpec, parse_shard_entry
@@ -119,9 +110,6 @@ class ShardedClient:
         self.session = _router_session(config, self.executor)
         self._closed = False
         self._close_lock = threading.Lock()
-        self._pump_lock = threading.Lock()
-        self._pumps: Set[threading.Thread] = set()
-        self._stops: Set[threading.Event] = set()
 
     # ------------------------------------------------------------------
     # construction from shard specs
@@ -197,14 +185,6 @@ class ShardedClient:
         """The shard index owning this plan's cache keyspace."""
         return self.executor.partitioner.shard_of(plan.key)
 
-    def _plan(
-        self,
-        instance: Any,
-        objective: Optional[str],
-        params: Dict[str, Any],
-    ) -> SolvePlan:
-        return plan_solve(instance, objective or MINBUSY, params)
-
     # ------------------------------------------------------------------
     # SolverClient surface (delegated to the router session)
     # ------------------------------------------------------------------
@@ -227,7 +207,6 @@ class ShardedClient:
         result locally with the family's registered verifier.
         """
         self._check_open()
-        self._reap_pumps()
         return self.session.solve(
             instance,
             objective,
@@ -256,7 +235,6 @@ class ShardedClient:
         call only raises when *every* shard is gone.
         """
         self._check_open()
-        self._reap_pumps()
         return self.session.solve_many(
             instances,
             objective,
@@ -276,146 +254,20 @@ class ShardedClient:
         deadline: Optional[float] = None,
         **params: Any,
     ) -> Iterator[EngineResult]:
-        """Results in input order, pulled from per-shard streams.
+        """Results in input order, from one :meth:`solve_many` batch.
 
-        Each shard's sub-batch stream is consumed by its own pump
-        thread into a queue, so every shard starts computing (and
-        streaming) immediately; the merger yields position *i* from
-        the queue of the shard owning it.  A shard that dies
-        mid-stream does not kill the stream: its failure feeds the
-        fleet's circuit state and the unfinished remainder of its
-        slice is *repaired locally* by the router session on an
-        explicit non-fleet backend (byte-identical by the executor
-        conformance suite) — survivors' connections are mid-stream
-        and a connection never serves two requests at once, so the
-        repair must not fan back out; the next batch routes around
-        the dead shard via its circuit instead.  Abandoning the
-        generator (``break`` / ``close()`` / GC) signals every pump
-        to stop after its in-flight item and returns promptly —
-        draining finishes in the background, and the next call on
-        this client (or :meth:`close`) joins the stragglers, so no
-        threads leak past ``close``.
+        The stream runs the batch pipeline unchanged — router LRU,
+        in-batch dedup, fan-out with hedging and failover, install —
+        so its first item arrives when the whole router batch is done.
         """
-        self._check_open()
-        self._reap_pumps()
-        if budget is not None:
-            params["budget"] = budget
-        plans = [
-            self._plan(inst, objective, params) for inst in instances
-        ]
-        if not plans:
-            return
-        available = set(self.executor.health.available_shards())
-        if not available:
-            available = set(range(len(self.clients)))
-        by_shard: Dict[int, List[int]] = {}
-        for i, plan in enumerate(plans):
-            shard = self.executor.route(plan.key, available)
-            by_shard.setdefault(shard, []).append(i)
-
-        stop = threading.Event()
-        queues: Dict[int, "queue.SimpleQueue"] = {
-            shard: queue.SimpleQueue() for shard in by_shard
-        }
-
-        def pump(shard: int, indices: List[int]) -> None:
-            out = queues[shard]
-            stream = None
-            failed = False
-            try:
-                # The shard lock spans the whole sub-stream: a fleet
-                # call (stats, objectives) between two streamed
-                # results would otherwise interleave on its connection.
-                with self.executor.shard_locks[shard]:
-                    try:
-                        stream = self.clients[shard].solve_stream(
-                            [plans[i].instance for i in indices],
-                            plans[indices[0]].spec.name,
-                            use_cache=use_cache,
-                            deadline=deadline,
-                        )
-                        while not stop.is_set():
-                            try:
-                                result = next(stream)
-                            except StopIteration:
-                                break
-                            out.put((None, result))
-                    finally:
-                        if stream is not None:
-                            try:
-                                stream.close()
-                            except BaseException:
-                                pass
-            except BaseException as exc:
-                failed = True
-                self.executor.health.record_failure(shard, exc)
-                out.put((exc, None))
-            finally:
-                if not failed and not stop.is_set():
-                    self.executor.health.record_success(shard)
-                with self._pump_lock:
-                    self._pumps.discard(threading.current_thread())
-
-        threads: List[threading.Thread] = []
-        with self._pump_lock:
-            self._stops.add(stop)
-        for shard, indices in by_shard.items():
-            # Each pump carries the caller's contextvars (a copy per
-            # thread), so trace context crosses into the per-shard
-            # streams and their spans chain under the caller's.
-            ctx = contextvars.copy_context()
-            t = threading.Thread(
-                target=ctx.run,
-                args=(pump, shard, indices),
-                daemon=True,
-                name=f"repro-shard{shard}-pump",
-            )
-            with self._pump_lock:
-                self._pumps.add(t)
-            threads.append(t)
-            t.start()
-        shard_of_index = {
-            i: shard
-            for shard, indices in by_shard.items()
-            for i in indices
-        }
-        consumed: Dict[int, int] = {shard: 0 for shard in by_shard}
-        recovered: Dict[int, EngineResult] = {}
-        try:
-            for i in range(len(plans)):
-                if i in recovered:
-                    yield recovered.pop(i)
-                    continue
-                shard = shard_of_index[i]
-                error, result = queues[shard].get()
-                if error is not None:
-                    # The pump died mid-stream (failure already fed
-                    # the circuit).  Repair the slice it never
-                    # delivered through the router session on a local
-                    # backend — the fleet executor would contend for
-                    # the survivors' in-flight stream connections.
-                    remaining = by_shard[shard][consumed[shard]:]
-                    repaired = self.session.solve_many(
-                        [plans[j].instance for j in remaining],
-                        objective,
-                        use_cache=use_cache,
-                        deadline=deadline,
-                        backend="serial" if deadline is None else "async",
-                        **params,
-                    )
-                    recovered.update(zip(remaining, repaired))
-                    yield recovered.pop(i)
-                    continue
-                consumed[shard] += 1
-                yield result
-            # Normal completion: every pump has produced its last item
-            # and exits as soon as it observes its stream's end.
-            for t in threads:
-                t.join()
-        finally:
-            stop.set()
-            with self._pump_lock:
-                self._stops.discard(stop)
+        yield from self.solve_many(
+            instances,
+            objective,
+            budget=budget,
+            use_cache=use_cache,
+            deadline=deadline,
+            **params,
+        )
 
     def cache_stats(self) -> Dict[str, Any]:
         """Router tiers plus the fleet: per-shard cache counters and
@@ -423,22 +275,9 @@ class ShardedClient:
         return self.session.cache_stats()
 
     def objectives(self) -> List[str]:
-        """The registry listing, from the first shard that answers."""
-        errors: List[BaseException] = []
-        candidates = self.executor.health.available_shards() or range(
-            len(self.clients)
-        )
-        for shard in candidates:
-            try:
-                with self.executor.shard_locks[shard]:
-                    listing = self.clients[shard].objectives()
-            except Exception as exc:
-                errors.append(exc)
-                self.executor.health.record_failure(shard, exc)
-                continue
-            self.executor.health.record_success(shard)
-            return listing
-        raise errors[-1]
+        """The router's registry listing: the router plans every call,
+        so these are exactly the objectives this client can solve."""
+        return self.session.objectives()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -447,34 +286,17 @@ class ShardedClient:
         if self._closed:
             raise RuntimeError("this ShardedClient is closed")
 
-    def _reap_pumps(self) -> None:
-        """Join pump threads left draining by abandoned streams.
-
-        Pumps own their shard client's (single) connection until their
-        sub-batch stream is drained; joining them before new work is
-        what keeps one connection from serving two requests at once.
-        """
-        with self._pump_lock:
-            pumps = list(self._pumps)
-        for t in pumps:
-            t.join()
-
     def close(self) -> None:
         """Close the fleet: idempotent, shards in parallel.
 
-        Signals every live stream pump to stop, closes all shard
-        clients concurrently (closing a remote shard's socket unblocks
-        its pump's read), closes the router session, then joins any
-        straggling pumps.  The first shard-close failure propagates
-        after every shard was attempted; repeated calls are no-ops.
+        Closes all shard clients concurrently, then the router
+        session.  The first shard-close failure propagates after every
+        shard was attempted; repeated calls are no-ops.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-        with self._pump_lock:
-            for stop in list(self._stops):
-                stop.set()
         errors: List[BaseException] = []
 
         def close_one(client: Any) -> None:
@@ -488,10 +310,6 @@ class ShardedClient:
         ) as pool:
             list(pool.map(close_one, self.clients))
         self.session.close()
-        with self._pump_lock:
-            pumps = list(self._pumps)
-        for t in pumps:
-            t.join(timeout=5.0)
         if errors:  # pragma: no cover - defensive
             raise errors[0]
 

@@ -462,7 +462,6 @@ class ShardedExecutor:
         partitioner: Optional[Partitioner] = None,
         deadline: Optional[float] = None,
         hedge_delay: Optional[float] = None,
-        use_cache: bool = True,
     ) -> None:
         if not shards:
             raise ValueError("ShardedExecutor needs at least one shard")
@@ -481,12 +480,10 @@ class ShardedExecutor:
                 f"hedge_delay must be > 0 seconds, got {hedge_delay}"
             )
         self.hedge_delay = hedge_delay
-        self.use_cache = use_cache
         #: Recorded (not propagated) shard failures, most recent last.
         self.failures: List[Dict[str, Any]] = []
-        #: One lock per shard client: every call into a client (and a
-        #: ``ShardedClient`` stream pump, for its sub-stream's life)
-        #: holds it, so one connection never serves two requests.
+        #: One lock per shard client: every call into a client holds
+        #: it, so one connection never serves two requests.
         self.shard_locks = [threading.Lock() for _ in self.shards]
         self.health = FleetHealth(len(self.shards))
 
@@ -509,12 +506,8 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def route(
-        self, key: str, available: Optional[Set[int]] = None
-    ) -> Optional[int]:
-        """First available shard in the key's preference order."""
-        if available is None:
-            available = set(self.health.available_shards())
+    def route(self, key: str, available: Set[int]) -> Optional[int]:
+        """First shard of ``available`` in the key's preference order."""
         for shard in self.partitioner.preference(key):
             if shard in available:
                 return shard
@@ -539,7 +532,8 @@ class ShardedExecutor:
     def _attempt(
         self, shard: int, tasks: Sequence[SolveTask]
     ) -> List[Any]:
-        """One shard's slice, via its client's own ``solve_many``.
+        """One shard's slice, via its client's own ``solve_many`` with
+        the shard's cache on (its keyspace, its authority).
 
         The shard re-plans the (already normalized) instances on its
         side — normalization is idempotent, so this is a content
@@ -559,7 +553,6 @@ class ShardedExecutor:
                     served = client.solve_many(
                         [tasks[p].instance for p in positions],
                         objective,
-                        use_cache=self.use_cache,
                         deadline=self.deadline,
                     )
                     for position, result in zip(positions, served):

@@ -315,11 +315,6 @@ class ResultStore:
             self._bump(hits=len(found), misses=len(keys) - len(found))
         return found
 
-    def __contains__(self, key: str) -> bool:
-        if key not in self._index:
-            self.refresh()
-        return key in self._index
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------

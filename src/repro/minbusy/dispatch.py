@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.errors import UnsupportedInstanceError
 from ..core.instance import Instance
 from ..core.schedule import Schedule
 from .bestcut import solve_best_cut

@@ -28,6 +28,7 @@ from repro.api import (
     ShardedClient,
     SolverClient,
 )
+from repro.engine import plan_solve
 from repro.service.protocol import result_to_doc
 from tests.helpers import (
     ALL_FAMILIES,
@@ -180,8 +181,6 @@ class TestResultFromDoc:
 
     @staticmethod
     def _doc_and_plan(objective, inst):
-        from repro.engine import plan_solve
-
         with Session(store_path=None) as local:
             result = local.solve(inst, objective)
         doc = json.loads(json.dumps(result_to_doc(result)))
@@ -354,8 +353,8 @@ class TestShardedSpecifics:
         client = ShardedClient(shards)
         base, _ = family_instance("minbusy", 4)
         twin, _ = family_instance("minbusy", 4)
-        plan_a = client._plan(base, "minbusy", {})
-        plan_b = client._plan(twin, "minbusy", {})
+        plan_a = plan_solve(base, "minbusy", {})
+        plan_b = plan_solve(twin, "minbusy", {})
         assert client.shard_of(plan_a) == client.shard_of(plan_b)
         client.close()
 

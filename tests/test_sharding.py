@@ -1,6 +1,6 @@
 """Sharding as engine layers: partitioners, failover, fleet health.
 
-Four suites over the sharded stack introduced with the
+Five suites over the sharded stack introduced with the
 ``ShardedExecutor``:
 
 * **Partitioners** — the CRC32-modulo oracle, the weighted
@@ -16,11 +16,14 @@ Four suites over the sharded stack introduced with the
   raises :class:`~repro.engine.ShardFleetError`, hedged requests beat
   a slow shard, and (the dedup acceptance test) each unique
   fingerprint crosses the fleet exactly once.
+* **ShardedClient** — local fleets: ``solve_stream`` is one router
+  batch (router LRU, in-batch dedup, failover around a dead shard),
+  an abandoned stream leaks no threads, and ``cache_stats``/``health``
+  carry the fleet breakdown.
 * **Live fleets** — three real ``repro serve`` subprocesses: SIGKILL
   one mid-``solve_many`` and the merged canonical documents stay
   byte-identical to a single local session; per-shard ``cache_stats``
-  and the ``health`` op aggregate over the wire; abandoned
-  ``solve_stream`` generators leak no pump threads past ``close()``.
+  and the ``health`` op aggregate over the wire.
 """
 
 from __future__ import annotations
@@ -322,30 +325,6 @@ class DeadShard:
         pass
 
 
-class StreamDyingShard:
-    """Delegates, but its ``solve_stream`` dies after ``survive`` items."""
-
-    def __init__(self, inner: Session, survive: int = 0) -> None:
-        self.inner = inner
-        self.survive = survive
-
-    def solve_stream(self, instances, objective=None, **kwargs):
-        stream = self.inner.solve_stream(instances, objective, **kwargs)
-        for k, result in enumerate(stream):
-            if k >= self.survive:
-                raise ConnectionError("shard died mid-stream")
-            yield result
-
-    def solve_many(self, instances, objective=None, **kwargs):
-        return self.inner.solve_many(instances, objective, **kwargs)
-
-    def cache_stats(self):
-        return self.inner.cache_stats()
-
-    def close(self) -> None:
-        self.inner.close()
-
-
 class SlowShard:
     """A healthy shard that answers after a fixed delay."""
 
@@ -359,44 +338,6 @@ class SlowShard:
 
     def cache_stats(self):
         return self.inner.cache_stats()
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-class PacedStreamShard:
-    """Streams its first result at once and each later one after
-    ``pause`` seconds; its other calls record whether one of its
-    streams was open when they were entered (a remote shard's single
-    connection would be mid-stream then)."""
-
-    def __init__(self, inner: Session, pause: float = 0.2) -> None:
-        self.inner = inner
-        self.pause = pause
-        self.open_streams = 0
-        self.entered_mid_stream: list = []
-
-    def solve_stream(self, instances, objective=None, **kwargs):
-        self.open_streams += 1
-        try:
-            stream = self.inner.solve_stream(instances, objective, **kwargs)
-            for k, result in enumerate(stream):
-                if k:
-                    time.sleep(self.pause)
-                yield result
-        finally:
-            self.open_streams -= 1
-
-    def solve_many(self, instances, objective=None, **kwargs):
-        return self.inner.solve_many(instances, objective, **kwargs)
-
-    def cache_stats(self):
-        self.entered_mid_stream.append(("cache_stats", self.open_streams > 0))
-        return self.inner.cache_stats()
-
-    def objectives(self):
-        self.entered_mid_stream.append(("objectives", self.open_streams > 0))
-        return self.inner.objectives()
 
     def close(self) -> None:
         self.inner.close()
@@ -534,7 +475,7 @@ class TestShardedExecutor:
             key = "minbusy:somekey"
             owner = executor.partitioner.shard_of(key)
             other = 1 - owner
-            assert executor.route(key) == owner
+            assert executor.route(key, {0, 1}) == owner
             assert executor.route(key, {other}) == other
             assert executor.route(key, set()) is None
 
@@ -613,63 +554,49 @@ class TestShardedClientLocal:
             time.sleep(0.01)
         assert leaked == []
 
-    def test_stream_repairs_slice_when_shard_dies_mid_stream(self):
-        """A pump death must not kill the stream: the unfinished
-        remainder of the dead shard's slice is repaired locally and
-        the merged output stays byte-identical, with the failure
-        recorded in the shard's circuit."""
-        instances = minbusy_batch(12)
-        expected = reference_docs(instances)
-        dying = StreamDyingShard(local_shard(), survive=1)
-        client = ShardedClient([dying, local_shard()])
-        try:
-            owners = {
-                client.shard_of(client._plan(inst, "minbusy", {}))
-                for inst in instances
-            }
-            assert owners == {0, 1}  # both shards get a slice
-            got = [canonical(r) for r in client.solve_stream(instances)]
-            assert got == expected
-            health = client.cache_stats()["shards"]["shard0"]["health"]
-            assert health["state"] != HEALTHY
-        finally:
-            client.close()
-
     def test_stream_survives_shard_dead_from_the_start(self):
-        """Even the very first item of a slice failing (connection
-        refused on stream open) repairs instead of raising."""
+        """A stream takes the batch path's failover: the dead shard's
+        slice re-routes to the survivor, the bytes stay identical and
+        the failure lands in the dead shard's circuit."""
         instances = minbusy_batch(10)
         expected = reference_docs(instances)
-        client = ShardedClient(
-            [StreamDyingShard(local_shard(), survive=0), local_shard()]
-        )
+        dead = DeadShard()
+        client = ShardedClient([dead, local_shard()])
         try:
+            owners = {
+                client.shard_of(plan_solve(inst, "minbusy", {}))
+                for inst in instances
+            }
+            assert owners == {0, 1}  # the dead shard owns a slice
             got = [canonical(r) for r in client.solve_stream(instances)]
             assert got == expected
+            assert dead.calls >= 1
+            assert client.executor.health.circuit(0).state != HEALTHY
         finally:
             client.close()
 
-    def test_fleet_calls_wait_for_an_open_stream(self):
-        """``cache_stats``/``objectives`` between two streamed results
-        must not reach the shard while its sub-stream is open: they
-        wait on the shard lock the stream's pump holds."""
-        instances = minbusy_batch(3)
-        expected = reference_docs(instances)
-        shard = PacedStreamShard(local_shard())
-        client = ShardedClient([shard])
+    def test_stream_is_one_router_batch(self):
+        """A stream dedups and installs in the router like
+        ``solve_many``: its LRU holds one entry per unique content,
+        and a repeat stream is served from it with no shard call."""
+        uniques = minbusy_batch(6)
+        batch = uniques + uniques[:3]
+        expected = reference_docs(batch)
+        client = ShardedClient([local_shard(), local_shard()])
+
+        def shard_lookups():
+            shards = client.cache_stats()["shards"].values()
+            return sum(e["lru"]["hits"] + e["lru"]["misses"] for e in shards)
+
         try:
-            stream = client.solve_stream(instances)
-            got = [canonical(next(stream))]
-            stats = client.cache_stats()["shards"]["shard0"]
-            listing = client.objectives()
-            got += [canonical(r) for r in stream]
-            assert shard.entered_mid_stream == [
-                ("cache_stats", False),
-                ("objectives", False),
-            ]
-            assert "stats_error" not in stats["health"]
-            assert "minbusy" in listing
+            got = [canonical(r) for r in client.solve_stream(batch)]
             assert got == expected
+            assert client.cache_stats()["lru"]["size"] == len(uniques)
+            before = shard_lookups()
+            again = list(client.solve_stream(batch))
+            assert [canonical(r) for r in again] == expected
+            assert all(r.from_cache for r in again)
+            assert shard_lookups() == before
         finally:
             client.close()
 
@@ -811,7 +738,7 @@ class TestLiveFleet:
         client = remote_fleet(fleet3)
         try:
             victim = client.shard_of(
-                client._plan(instances[0], "minbusy", {})
+                plan_solve(instances[0], "minbusy", {})
             )
             proc, _ = fleet3[victim]
             os.kill(proc.pid, signal.SIGKILL)
@@ -832,7 +759,7 @@ class TestLiveFleet:
         client = remote_fleet(fleet3)
         try:
             victim = client.shard_of(
-                client._plan(instances[0], "minbusy", {})
+                plan_solve(instances[0], "minbusy", {})
             )
             proc, _ = fleet3[victim]
             killer = threading.Timer(
