@@ -14,9 +14,11 @@ wire document (:func:`repro.io.objective_instance_to_dict`), and
 rebuilds the response document into an ``EngineResult`` whose schedule
 is re-expressed over the caller's own job objects.
 
-The instance's fields are read once per call: the fingerprint and the
-wire document share the instance's cached job columns, and the binary
-codec packs those columns without building per-job records.  The
+The instance's fields are read once per instance, not per call: the
+fingerprint and the wire document share the instance's job table
+(built at construction for ``Instance.from_spans``, else on first
+read), and the binary codec writes its typed columns' bytes without
+building per-job records or re-typing a value.  The
 result's schedule is positional (built on first read of its
 ``assignment``), so a caller that only wants the cost never pays for
 the per-job rebind.  The server computes the same content fingerprint

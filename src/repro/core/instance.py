@@ -5,9 +5,13 @@
 Both validate their parameters and cache the structure predicates that
 drive the paper's case analysis (clique / proper / one-sided), so the
 dispatcher and the algorithms can assert their preconditions cheaply.
-They also cache their job table column-wise (:attr:`Instance.columns`),
-which the fingerprint and the wire document both read, so one solve
-walks the ``Job`` objects once.
+They also cache their job table (:attr:`Instance.columns`, a
+:class:`~repro.core.jobs.JobTable`), which the fingerprint and the wire
+document both read.  The table is built once per instance: at
+construction by :meth:`Instance.from_spans`, from the values it has
+just coerced, otherwise by one walk over the ``Job`` objects on first
+read.  The constructors that keep the same ``jobs`` (``with_budget``,
+``min_busy_instance``) hand the table on.
 """
 
 from __future__ import annotations
@@ -24,11 +28,14 @@ from .jobs import (
     is_one_sided,
     is_proper_set,
     job_columns,
+    JobTable,
     jobs_span,
     jobs_total_length,
     make_jobs,
     one_sided_kind,
     sort_jobs,
+    span_fields,
+    span_table,
 )
 
 __all__ = ["Instance", "BudgetInstance"]
@@ -41,6 +48,15 @@ def _state_without_columns(instance: object) -> dict:
     state = dict(instance.__dict__)
     state.pop("columns", None)
     return state
+
+
+def _share_columns(source: object, instance):
+    # ``instance`` holds the same jobs tuple as ``source``, so a job
+    # table ``source`` has already built is ``instance``'s too.
+    table = source.__dict__.get("columns")
+    if table is not None:
+        instance.__dict__["columns"] = table
+    return instance
 
 
 @dataclass(frozen=True)
@@ -69,7 +85,10 @@ class Instance:
         weights: Sequence[float] | None = None,
         demands: Sequence[int] | None = None,
     ) -> "Instance":
-        return cls(jobs=tuple(make_jobs(spans, weights=weights, demands=demands)), g=g)
+        fields = span_fields(spans, weights=weights, demands=demands)
+        instance = cls(jobs=tuple(make_jobs(fields)), g=g)
+        instance.__dict__["columns"] = span_table(fields, instance.jobs)
+        return instance
 
     # ------------------------------------------------------------------
     @property
@@ -77,8 +96,10 @@ class Instance:
         return len(self.jobs)
 
     @cached_property
-    def columns(self) -> Tuple[tuple, ...]:
-        """The job table column-wise, in canonical order
+    def columns(self) -> JobTable:
+        """The job table in canonical order
+        (:class:`~repro.core.jobs.JobTable`): seeded by
+        :meth:`from_spans`, else read off the jobs on first use
         (:func:`~repro.core.jobs.job_columns`)."""
         return job_columns(self.jobs)
 
@@ -128,7 +149,9 @@ class Instance:
         ]
 
     def with_budget(self, budget: float) -> "BudgetInstance":
-        return BudgetInstance(jobs=self.jobs, g=self.g, budget=budget)
+        return _share_columns(
+            self, BudgetInstance(jobs=self.jobs, g=self.g, budget=budget)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kinds = []
@@ -166,15 +189,18 @@ class BudgetInstance:
         *,
         weights: Sequence[float] | None = None,
     ) -> "BudgetInstance":
-        return cls(jobs=tuple(make_jobs(spans, weights=weights)), g=g, budget=budget)
+        fields = span_fields(spans, weights=weights)
+        instance = cls(jobs=tuple(make_jobs(fields)), g=g, budget=budget)
+        instance.__dict__["columns"] = span_table(fields, instance.jobs)
+        return instance
 
     @property
     def n(self) -> int:
         return len(self.jobs)
 
     @cached_property
-    def columns(self) -> Tuple[tuple, ...]:
-        """The job table column-wise (see :attr:`Instance.columns`)."""
+    def columns(self) -> JobTable:
+        """The job table (see :attr:`Instance.columns`)."""
         return job_columns(self.jobs)
 
     def __getstate__(self) -> dict:
@@ -183,7 +209,13 @@ class BudgetInstance:
     @property
     def min_busy_instance(self) -> Instance:
         """The underlying ``(J, g)`` MinBusy instance."""
-        return Instance(jobs=self.jobs, g=self.g)
+        return _share_columns(self, Instance(jobs=self.jobs, g=self.g))
+
+    def with_budget(self, budget: float) -> "BudgetInstance":
+        """The same jobs under another budget."""
+        return _share_columns(
+            self, BudgetInstance(jobs=self.jobs, g=self.g, budget=budget)
+        )
 
     @cached_property
     def is_clique(self) -> bool:

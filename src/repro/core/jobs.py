@@ -19,16 +19,31 @@ paper's case analysis:
   to justify the w.l.o.g. connectivity assumption for MinBusy,
 * :func:`sort_jobs` — the canonical ``J_1 <= J_2 <= ...`` ordering.
 
-:func:`job_columns` reads every job's fields in one pass; the
-fingerprint and the wire document both start from its columns instead
-of walking the ``Job`` objects themselves.
+An instance's job table (:class:`JobTable`, one ``(kind, values)``
+entry per :data:`JOB_COLUMNS` field) is built once per instance and
+cached on it: at construction by :meth:`Instance.from_spans
+<repro.core.instance.Instance.from_spans>`, which already knows every
+field's type (:func:`span_table`), otherwise by one walk over the
+``Job`` objects on first read (:func:`job_columns`).  The fingerprint
+and the binary wire packer both read that one table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import (
+    Any,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from .errors import InvalidIntervalError
 from .intervals import Interval, common_point, total_length, union_length
@@ -36,7 +51,12 @@ from .intervals import Interval, common_point, total_length, union_length
 __all__ = [
     "Job",
     "JOB_COLUMNS",
+    "JobTable",
+    "SpanFields",
+    "column_kind",
     "job_columns",
+    "span_fields",
+    "span_table",
     "make_jobs",
     "sort_jobs",
     "jobs_total_length",
@@ -109,53 +129,213 @@ class Job:
         return f"Job#{self.job_id}[{self.start},{self.end})"
 
 
-def make_jobs(
+class SpanFields(NamedTuple):
+    """:func:`make_jobs`' coerced job fields, in input order.
+
+    ``weights``/``demands`` are ``None`` when every job takes the
+    default (1.0 / 1).
+    """
+
+    starts: List[float]
+    ends: List[float]
+    weights: Optional[List[float]]
+    demands: Optional[List[int]]
+
+
+def span_fields(
     spans: Iterable[Tuple[float, float]],
     *,
     weights: Sequence[float] | None = None,
     demands: Sequence[int] | None = None,
-) -> List[Job]:
-    """Build jobs with consecutive ids ``0..n-1`` from ``(start, end)`` pairs."""
+) -> SpanFields:
+    """Coerce ``(start, end)`` pairs (and optional weights/demands) the
+    way :func:`make_jobs` stores them: ``float`` times and weights,
+    ``int`` demands."""
     spans = list(spans)
     if weights is not None and len(weights) != len(spans):
         raise InvalidIntervalError("weights length must match spans length")
     if demands is not None and len(demands) != len(spans):
         raise InvalidIntervalError("demands length must match spans length")
-    jobs = []
-    for i, (s, c) in enumerate(spans):
-        jobs.append(
-            Job(
-                start=float(s),
-                end=float(c),
-                job_id=i,
-                weight=float(weights[i]) if weights is not None else 1.0,
-                demand=int(demands[i]) if demands is not None else 1,
-            )
+    starts: List[float] = []
+    ends: List[float] = []
+    for s, c in spans:
+        starts.append(float(s))
+        ends.append(float(c))
+    return SpanFields(
+        starts=starts,
+        ends=ends,
+        weights=None if weights is None else [float(w) for w in weights],
+        demands=None if demands is None else [int(d) for d in demands],
+    )
+
+
+def make_jobs(
+    spans: Iterable[Tuple[float, float]] | SpanFields,
+    *,
+    weights: Sequence[float] | None = None,
+    demands: Sequence[int] | None = None,
+) -> List[Job]:
+    """Build jobs with consecutive ids ``0..n-1`` from ``(start, end)``
+    pairs, or from already coerced :class:`SpanFields`."""
+    if not isinstance(spans, SpanFields):
+        spans = span_fields(spans, weights=weights, demands=demands)
+    ws, ds = spans.weights, spans.demands
+    return [
+        Job(
+            start=s,
+            end=c,
+            job_id=i,
+            weight=1.0 if ws is None else ws[i],
+            demand=1 if ds is None else ds[i],
         )
-    return jobs
+        for i, (s, c) in enumerate(zip(spans.starts, spans.ends))
+    ]
 
 
-#: The per-job fields :func:`job_columns` extracts, in column order
-#: (also the key order of a job record in the JSON instance format).
+#: The per-job fields of a :class:`JobTable`, in column order (also the
+#: key order of a job record in the JSON instance format).
 JOB_COLUMNS = ("start", "end", "weight", "demand", "job_id")
 
+#: The little-endian dtype of each typed column kind.
+_KIND_DTYPES = {"f": "<f8", "i": "<i8"}
 
-def job_columns(jobs: Sequence[Job]) -> Tuple[tuple, ...]:
-    """The jobs' fields as one tuple per :data:`JOB_COLUMNS` entry.
+_NONE_TYPE = type(None)
+_OI_KINDS = ({int, _NONE_TYPE}, {_NONE_TYPE})
+
+
+def column_kind(values: Sequence[Any]) -> Optional[str]:
+    """``"i"``/``"f"``/``"oi"`` when a column can ride a raw buffer.
+
+    Exact round-trip rules: every value the same scalar type (so ints
+    stay ints and floats stay floats after decode), int64-representable,
+    and ``None`` only alongside *non-negative* ints (the ``-1``
+    sentinel must be unambiguous).  Anything else keeps the column in
+    the control JSON.  ``set(map(type, ...))`` keeps the type sweep at
+    C speed.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return "f"
+    if kinds == {int}:
+        return "i"
+    if kinds in _OI_KINDS:
+        if any(v is not None and v < 0 for v in values):
+            return None
+        return "oi"
+    return None
+
+
+def _typed_column(values: Sequence[Any]) -> Tuple[Optional[str], Any]:
+    """One :class:`JobTable` entry for a column of Python values:
+    ``(kind, array)`` under the :func:`column_kind` rules, else
+    ``(None, tuple(values))``."""
+    kind = column_kind(values)
+    if kind in _KIND_DTYPES:
+        try:
+            return kind, np.fromiter(values, _KIND_DTYPES[kind], len(values))
+        except OverflowError:  # an int beyond int64
+            pass
+    return None, tuple(values)
+
+
+class JobTable:
+    """An instance's jobs column-wise, in canonical order: one
+    ``(kind, values)`` entry per :data:`JOB_COLUMNS` field.
+
+    ``kind`` is ``"f"`` or ``"i"`` when every value is a ``float``
+    (an int64-representable ``int``), and ``values`` is then a
+    little-endian float64 (int64) array of exactly those values.
+    Otherwise ``kind`` is ``None`` and ``values`` is the tuple of the
+    jobs' own objects.
+
+    A table read off ``Job`` objects holds each field as a plain list
+    until an entry is first read, so a caller that only needs
+    :meth:`floats` (the fingerprint) never pays the type sweep.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: Iterable[Any]) -> None:
+        # Each entry is a typed ``(kind, values)`` pair, or the list of
+        # one field's values that the first read types.
+        self._entries = list(entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, index: int) -> Tuple[Optional[str], Any]:
+        entry = self._entries[index]
+        if type(entry) is list:
+            entry = self._entries[index] = _typed_column(entry)
+        return entry
+
+    def __iter__(self) -> Iterator[Tuple[Optional[str], Any]]:
+        return (self[i] for i in range(len(self._entries)))
+
+    def floats(self, index: int) -> np.ndarray:
+        """Column ``index`` as float64, without typing an untyped one."""
+        entry = self._entries[index]
+        if type(entry) is not list:
+            kind, values = entry
+            if kind == "f":
+                return values
+            if kind == "i":
+                return values.astype(np.float64)
+        else:
+            values = entry
+        return np.fromiter(values, np.float64, len(values))
+
+
+def job_columns(jobs: Sequence[Job]) -> JobTable:
+    """The jobs' :class:`JobTable`, read in one walk over the objects.
 
     The values are the jobs' own attribute objects (an ``int`` start
-    stays an ``int``), so every consumer sees exactly what a per-job
-    ``getattr`` would have read.  One comprehension per field with the
-    attribute spelled out is the fastest extraction CPython offers
-    (about 3x a multi-field ``attrgetter`` plus ``zip`` transpose at
-    10k-100k jobs).
+    stays an ``int``, so its column is typed ``"i"``), exactly what a
+    per-job ``getattr`` would have read.  One comprehension per field
+    with the attribute spelled out is the fastest extraction CPython
+    offers (about 3x a multi-field ``attrgetter`` plus ``zip``
+    transpose at 10k-100k jobs); the type sweep waits for the first
+    read of an entry.
     """
-    return (
-        tuple([j.start for j in jobs]),
-        tuple([j.end for j in jobs]),
-        tuple([j.weight for j in jobs]),
-        tuple([j.demand for j in jobs]),
-        tuple([j.job_id for j in jobs]),
+    return JobTable(
+        (
+            [j.start for j in jobs],
+            [j.end for j in jobs],
+            [j.weight for j in jobs],
+            [j.demand for j in jobs],
+            [j.job_id for j in jobs],
+        )
+    )
+
+
+def span_table(fields: SpanFields, jobs: Sequence[Job]) -> JobTable:
+    """The typed :class:`JobTable` of ``jobs``, built by :func:`make_jobs`
+    from ``fields`` and since put in canonical order.
+
+    No job is walked beyond its ``job_id``: the ids are the input
+    positions, so they order the coerced field arrays directly.
+    """
+    n = len(jobs)
+    if not n:  # no values, so no kinds: the table read off no jobs
+        return job_columns(jobs)
+    order = np.fromiter([j.job_id for j in jobs], _KIND_DTYPES["i"], n)
+
+    def column(kind: str, values: Optional[list], default: Any) -> Tuple:
+        if values is None:
+            return kind, np.full(n, default, _KIND_DTYPES[kind])
+        try:
+            return kind, np.array(values, _KIND_DTYPES[kind])[order]
+        except OverflowError:  # a demand beyond int64
+            return None, tuple(values[i] for i in order.tolist())
+
+    return JobTable(
+        (
+            column("f", fields.starts, None),
+            column("f", fields.ends, None),
+            column("f", fields.weights, 1.0),
+            column("i", fields.demands, 1),
+            ("i", order),
+        )
     )
 
 

@@ -7,8 +7,9 @@ is identified by object contents anyway, so the fingerprint is a SHA-256
 over a canonical byte serialization: the parallelism parameter, the
 budget (when present), and the packed per-job arrays (start, end,
 weight, demand) in the instance's canonical sorted order — read from the
-instance's cached job columns (:func:`job_table`), the same single pass
-the wire document is built from.
+instance's job table (:func:`job_table`), which is built once per
+instance (at construction for ``Instance.from_spans``) and is also what
+the wire document packs.
 
 Job *ids* are deliberately excluded: they are bookkeeping labels (often
 auto-allocated from a process-global counter), not problem content, so
@@ -76,16 +77,15 @@ def instance_fingerprint(instance: AnyInstance) -> str:
 
 def job_table(instance: AnyInstance) -> np.ndarray:
     """The ``(n, 4)`` float64 content table ``(start, end, weight,
-    demand)`` in canonical order, built from the instance's cached
-    :attr:`~repro.core.instance.Instance.columns`.
+    demand)`` in canonical order, stacked from the instance's job table
+    (:attr:`~repro.core.instance.Instance.columns`; demand is cast to
+    float64).
 
     These are the bytes the v1 fingerprint hashes, and the rows the
     capacity/energy v2 fingerprints hash.
     """
-    n = instance.n
-    return np.column_stack(
-        [np.fromiter(col, np.float64, n) for col in instance.columns[:4]]
-    )
+    table = instance.columns
+    return np.column_stack([table.floats(i) for i in range(4)])
 
 
 def fingerprint_v2(

@@ -138,9 +138,7 @@ def _throughput_normalize(
 ) -> BudgetInstance:
     budget: Optional[float] = params.get("budget")
     if budget is not None:
-        return BudgetInstance(
-            jobs=instance.jobs, g=instance.g, budget=budget
-        )
+        return instance.with_budget(budget)
     if isinstance(instance, BudgetInstance):
         return instance
     raise InstanceError(

@@ -36,9 +36,10 @@ energy takes its power model from CLI flags / call parameters).
 
 :func:`objective_instance_to_dict` (the wire document a remote solve
 sends) holds that job list column-wise, as a :class:`RecordColumns`
-built straight from the instance's cached job columns: the binary
-codec packs the columns as they are, and JSON encoders render them as
-the record list above through :func:`json_default`.
+over the instance's job table (:class:`~repro.core.jobs.JobTable`,
+built once per instance): the binary codec writes the typed columns'
+bytes as they are, and JSON encoders render them as the record list
+above through :func:`json_default`.
 """
 
 from __future__ import annotations
@@ -77,25 +78,27 @@ AnyInstance = Union[Instance, BudgetInstance]
 class RecordColumns:
     """A list of flat records sharing one key order, held column-wise.
 
-    ``keys[i]`` names ``columns[i]``; record ``r`` is
-    ``dict(zip(keys, (col[r] for col in columns)))``, and iterating
-    yields those dicts.
+    ``keys[i]`` names ``columns[i]``, a ``(kind, values)`` job-table
+    entry (:class:`~repro.core.jobs.JobTable`): a typed array when
+    ``kind`` is set, else the Python values themselves.  Record ``r``
+    is ``dict(zip(keys, (values[r] for _, values in columns)))`` with
+    typed arrays read through ``tolist()``, so every record holds
+    Python scalars; iterating yields those dicts.
     """
 
     __slots__ = ("keys", "columns")
 
-    def __init__(
-        self, keys: Sequence[str], columns: Sequence[Sequence[Any]]
-    ) -> None:
+    def __init__(self, keys: Sequence[str], columns: Sequence[Any]) -> None:
         self.keys = tuple(keys)
-        self.columns = tuple(columns)
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return len(self.columns[0][1]) if len(self.columns) else 0
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         keys = self.keys
-        return (dict(zip(keys, row)) for row in zip(*self.columns))
+        values = [v.tolist() if kind else v for kind, v in self.columns]
+        return (dict(zip(keys, row)) for row in zip(*values))
 
     def records(self) -> List[Dict[str, Any]]:
         """The record list this table stands for."""
@@ -444,9 +447,9 @@ def objective_instance_to_dict(instance, objective: str) -> tuple:
     budget stays inside the instance document.
 
     The base job-list families keep their job table column-wise
-    (:class:`RecordColumns` over the instance's cached columns, record
-    keys ``start, end, weight, demand, job_id``); every wire encoder
-    emits the same bytes it would for the record list.
+    (:class:`RecordColumns` over the instance's job table, record keys
+    ``start, end, weight, demand, job_id``); every wire encoder emits
+    the same bytes it would for the record list.
     """
     serializer = _OBJECTIVE_SERIALIZERS.get(objective)
     if serializer is not None:

@@ -32,9 +32,11 @@ wire tests assert over all families.  ``None`` entries in non-negative
 integer columns (unscheduled positions in ``assignment_by_position``)
 ride as a ``-1`` sentinel in an ``int64`` column.
 
-A job table already held column-wise (:class:`~repro.io.RecordColumns`,
-what a remote solve's instance document carries) goes through the same
-column packer without ever becoming records, and its frame is
+A job table already held column-wise (:class:`~repro.io.RecordColumns`
+over an instance's :class:`~repro.core.jobs.JobTable`, what a remote
+solve's instance document carries) goes through the same column packer
+without ever becoming records: a typed column is written as its array's
+bytes, with no type sweep or conversion, and the frame is
 byte-identical to the one its record list would give.
 
 Capability negotiation (the ``hello`` op) rides NDJSON so a
@@ -59,6 +61,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.errors import InstanceError
+from ..core.jobs import column_kind
 from ..io import RecordColumns, json_default
 
 __all__ = [
@@ -109,6 +112,7 @@ _CODE_F64 = 1
 #: :class:`InternPool`), replacing the raw bytes.
 _CODE_REF = 2
 _DTYPES = {_CODE_I64: "<i8", _CODE_F64: "<f8"}
+_KIND_CODES = {"i": _CODE_I64, "f": _CODE_F64}
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
@@ -349,39 +353,19 @@ def intern_frame(
 # ----------------------------------------------------------------------
 # column extraction
 # ----------------------------------------------------------------------
-_NONE_TYPE = type(None)
-_OI_KINDS = ({int, _NONE_TYPE}, {_NONE_TYPE})
-
-
-def _column_kind(values: Sequence[Any]) -> Optional[str]:
-    """``"i"``/``"f"``/``"oi"`` when a column can ride a raw buffer.
-
-    Exact round-trip rules: every value the same scalar type (so ints
-    stay ints and floats stay floats after decode), int64-representable,
-    and ``None`` only alongside *non-negative* ints (the ``-1``
-    sentinel must be unambiguous).  Anything else keeps the column in
-    the control JSON.  ``set(map(type, ...))`` keeps the type sweep at
-    C speed — this runs once per column of every encoded payload.
-    """
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return "f"
-    if kinds == {int}:
-        return "i"
-    if kinds in _OI_KINDS:
-        if any(v is not None and v < 0 for v in values):
-            return None
-        return "oi"
-    return None
-
-
 def _column_blob(
-    kind: str, values: Sequence[Any], blobs: List[Tuple[int, bytes]]
+    kind: Optional[str],
+    values: Sequence[Any],
+    blobs: List[Tuple[int, bytes]],
 ) -> Optional[List[Any]]:
-    """Append one column buffer; returns its ``[kind, index]`` ref.
+    """Append one column buffer of :func:`column_kind` ``kind``;
+    returns its ``[kind, index]`` ref.
 
-    ``None`` (keep the column as JSON) when an int does not fit int64.
+    ``None`` (keep the column as JSON) when ``kind`` is ``None`` or an
+    int does not fit int64.
     """
+    if kind is None:
+        return None
     try:
         if kind == "f":
             data = np.fromiter(values, "<f8", len(values)).tobytes()
@@ -402,23 +386,30 @@ def _column_blob(
 
 def _pack_columns(
     keys: Tuple[str, ...],
-    columns: Sequence[Sequence[Any]],
+    columns: Sequence[Tuple[Optional[str], Any]],
     n: int,
     blobs: List[Tuple[int, bytes]],
 ) -> Optional[Dict[str, Any]]:
-    """Named columns of ``n`` records -> one ``"recs"`` control entry.
+    """Named ``(kind, values)`` columns of ``n`` records -> one
+    ``"recs"`` control entry.
 
-    Non-columnable values stay as inline JSON columns, so irregular
-    records merely lose the fast path, never correctness; ``None``
-    (keep the records inline) when no column packs at all.
+    A typed column (:class:`~repro.core.jobs.JobTable` kind ``"f"`` or
+    ``"i"``) is written as its array's bytes; an untyped one (kind
+    ``None``) is typed here from its values.  Non-columnable values stay
+    as inline JSON columns, so irregular records merely lose the fast
+    path, never correctness; ``None`` (keep the records inline) when no
+    column packs at all.
     """
     cols: Dict[str, Any] = {}
     packed_any = False
-    for key, col in zip(keys, columns):
-        kind = _column_kind(col)
-        ref = _column_blob(kind, col, blobs) if kind is not None else None
+    for key, (kind, values) in zip(keys, columns):
+        if kind is not None:
+            blobs.append((_KIND_CODES[kind], values.tobytes()))
+            ref = [kind, len(blobs) - 1]
+        else:
+            ref = _column_blob(column_kind(values), values, blobs)
         if ref is None:
-            cols[key] = ["j", col]
+            cols[key] = ["j", values]
         else:
             cols[key] = ref
             packed_any = True
@@ -447,7 +438,9 @@ def _pack_records(
     if not all(map(n_keys.__eq__, map(len, value))):
         return None
     try:
-        columns = [[*map(operator.itemgetter(key), value)] for key in keys]
+        columns = [
+            (None, [*map(operator.itemgetter(key), value)]) for key in keys
+        ]
     except (KeyError, TypeError, IndexError):
         return None
     return _pack_columns(keys, columns, len(value), blobs)
@@ -466,10 +459,7 @@ def _pack_rows(
     refs = []
     for c in range(width):
         col = [row[c] for row in value]
-        kind = _column_kind(col)
-        ref = (
-            _column_blob(kind, col, blobs) if kind is not None else None
-        )
+        ref = _column_blob(column_kind(col), col, blobs)
         if ref is None:
             return None
         refs.append(ref)
@@ -479,7 +469,7 @@ def _pack_rows(
 def _pack_list(
     value: List[Any], blobs: List[Tuple[int, bytes]]
 ) -> Optional[Dict[str, Any]]:
-    kind = _column_kind(value)
+    kind = column_kind(value)
     if kind is not None:
         ref = _column_blob(kind, value, blobs)
         if ref is not None:

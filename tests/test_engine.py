@@ -73,15 +73,23 @@ class TestFingerprint:
         assert instance_fingerprint(a) == instance_fingerprint(b)
 
     def test_cached_columns_stay_out_of_pickles(self):
+        import copy
         import pickle
 
-        inst = random_general_instance(40, 3, seed=2).with_budget(30.0)
+        seeded = random_general_instance(40, 3, seed=2).with_budget(30.0)
+        assert "columns" in vars(seeded)  # from_spans built the table
+        inst = BudgetInstance(jobs=seeded.jobs, g=3, budget=30.0)
+        assert "columns" not in vars(inst)
         before = pickle.dumps(inst)
         fingerprint = instance_fingerprint(inst)  # caches inst.columns
         assert "columns" in vars(inst)
         assert pickle.dumps(inst) == before
-        back = pickle.loads(before)
-        assert back == inst and instance_fingerprint(back) == fingerprint
+        assert pickle.dumps(seeded) == before
+        for source in (inst, seeded):
+            for back in (pickle.loads(pickle.dumps(source)), copy.copy(source)):
+                assert "columns" not in vars(back)
+                assert back == source
+                assert instance_fingerprint(back) == fingerprint
 
     def test_cache_hit_rebinds_to_query_jobs(self, session):
         from repro.core.jobs import Job
